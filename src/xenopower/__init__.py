@@ -16,7 +16,6 @@ from .elicit import (
 from .engine import EngineError, PowerJob, minimal_designs, run_power_grid
 from .frailty import FrailtyFit, fit_frailty, frailty_loglik, wald_test_frailty
 from .io import (
-    PowerReport,
     read_pilot_csv,
     read_power_csv,
     read_power_json,
@@ -33,7 +32,6 @@ from .types import (
     PilotRecord,
     PowerRow,
     PowerTable,
-    ReplicateOutcome,
     ValidationError,
     validate_grid,
 )
@@ -50,10 +48,8 @@ __all__ = [
     "PilotDataset",
     "PilotRecord",
     "PowerJob",
-    "PowerReport",
     "PowerRow",
     "PowerTable",
-    "ReplicateOutcome",
     "SimulatedDataset",
     "ValidationError",
     "elicit_anova_from_medians",

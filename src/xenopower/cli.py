@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence, Tuple
 
 from .elicit import (
@@ -25,9 +26,9 @@ from .elicit import (
     elicit_frailty_from_pilot,
 )
 from .engine import EngineError, PowerJob, minimal_designs, run_power_grid
-from .io import PowerReport, read_pilot_csv, write_power_csv, write_power_json
+from .io import read_pilot_csv, write_power_csv, write_power_json
 from .plot import render_power_plot
-from .types import AnovaParams, DesignGrid, ValidationError, validate_grid
+from .types import AnovaParams, DesignGrid, ValidationError
 
 __all__ = ["main"]
 
@@ -191,14 +192,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        grid = validate_grid(
-            DesignGrid(
-                n_values=_parse_values(args.n, "--n"),
-                m_values=_parse_values(args.m, "--m"),
-                sim=args.sim,
-                alpha=args.alpha,
-                seed=args.seed,
-            )
+        grid = DesignGrid(
+            n_values=_parse_values(args.n, "--n"),
+            m_values=_parse_values(args.m, "--m"),
+            sim=args.sim,
+            alpha=args.alpha,
+            seed=args.seed,
         )
         workers = _resolve_workers(args)
     except ValidationError as exc:
@@ -248,9 +247,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
+    except BrokenProcessPool:
+        print("error: a worker process died (for example, killed for lack of memory); "
+              "rerun with fewer --threads", file=sys.stderr)
+        return EXIT_ENGINE
 
     frontier = minimal_designs(table, args.target_power)
-    report = PowerReport(table=table, frontier=tuple(frontier), target_power=args.target_power)
 
     _print_header(sys.stdout, model, grid.sim, grid.alpha, grid.seed, source)
     _print_table(sys.stdout, table)
@@ -260,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out_csv:
             write_power_csv(table, args.out_csv)
         if args.out_json:
-            write_power_json(table, report.frontier, args.out_json)
+            write_power_json(table, frontier, args.out_json)
         if args.plot:
             svg = render_power_plot(table, args.target_power, (0.0, 1.0))
             with open(args.plot, "w", encoding="utf-8") as fh:

@@ -32,10 +32,6 @@ class SimulatedDataset:
     status: np.ndarray
 
     @property
-    def n_lines(self) -> int:
-        return int(self.line_index.max())
-
-    @property
     def censoring_fraction(self) -> float:
         return float(1.0 - self.status.mean())
 

@@ -30,9 +30,7 @@ from .types import (
     FrailtyParams,
     PowerRow,
     PowerTable,
-    ReplicateOutcome,
     ValidationError,
-    validate_grid,
 )
 
 __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
@@ -67,46 +65,30 @@ class PowerJob:
                 )
 
 
-def _replicate(model: Union[AnovaParams, FrailtyParams], n: int, m: int,
-               alpha: float, seed: int, r: int) -> ReplicateOutcome:
-    stream = replicate_stream(seed, n, m, r)
-    if isinstance(model, AnovaParams):
-        data = gen_anova(n, m, model, stream)
-        cens = 0.0
-        try:
-            fit = fit_lmm(data)
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-            return ReplicateOutcome(rejected=False, converged=False, censoring_fraction=cens)
-        if not fit.converged:
-            return ReplicateOutcome(rejected=False, converged=False, censoring_fraction=cens)
-        return ReplicateOutcome(
-            rejected=wald_test_lmm(fit, alpha), converged=True, censoring_fraction=cens
-        )
-    data = gen_frailty(n, m, model, stream)
-    cens = data.censoring_fraction
-    try:
-        fit = fit_frailty(data)
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-        return ReplicateOutcome(rejected=False, converged=False, censoring_fraction=cens)
-    if not fit.converged:
-        return ReplicateOutcome(rejected=False, converged=False, censoring_fraction=cens)
-    return ReplicateOutcome(
-        rejected=wald_test_frailty(fit, alpha), converged=True, censoring_fraction=cens
-    )
-
-
 def _run_chunk(task) -> Tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Worker entry: run replicates r_start..r_stop-1 of one cell."""
+    """Worker entry: simulate, fit and test replicates r_start..r_stop-1 of
+    one cell. A fit that raises or does not converge counts as neither
+    converged nor rejected."""
     model, n, m, alpha, seed, r_start, r_stop = task
+    # looked up at call time so the layer functions can be swapped on the module
+    if isinstance(model, AnovaParams):
+        gen, fit, test = gen_anova, fit_lmm, wald_test_lmm
+    else:
+        gen, fit, test = gen_frailty, fit_frailty, wald_test_frailty
     count = r_stop - r_start
     rejected = np.zeros(count, dtype=bool)
     converged = np.zeros(count, dtype=bool)
     censoring = np.zeros(count, dtype=np.float64)
     for i, r in enumerate(range(r_start, r_stop)):
-        out = _replicate(model, n, m, alpha, seed, r)
-        rejected[i] = out.rejected
-        converged[i] = out.converged
-        censoring[i] = out.censoring_fraction
+        data = gen(n, m, model, replicate_stream(seed, n, m, r))
+        censoring[i] = data.censoring_fraction
+        try:
+            result = fit(data)
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError):
+            continue
+        if result.converged:
+            converged[i] = True
+            rejected[i] = test(result, alpha)
     return n, m, r_start, rejected, converged, censoring
 
 
@@ -123,7 +105,7 @@ def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]]
     from the coordinating thread each time a cell finishes. The returned
     table is identical for any worker count.
     """
-    grid = validate_grid(job.grid)
+    grid = job.grid
     workers = _resolve_workers(job.worker_count)
     cells = [(n, m) for n in grid.n_values for m in grid.m_values]
     sim, alpha, seed = grid.sim, grid.alpha, grid.seed

@@ -35,6 +35,7 @@ _TAU2_BOUNDARY = 1e-8
 _HESS_STEP = 1e-4
 _MAX_ITER = 500
 _QUAD_TOL = 1e-4
+_QUAD_POINTS = 15
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class FrailtyFit:
     p_value: float
     converged: bool
     log_likelihood: float
-    quad_points: int
 
 
 @lru_cache(maxsize=8)
@@ -143,7 +143,7 @@ def _integrand_modes(d: np.ndarray, a_cum: np.ndarray, tau2: float):
     return a
 
 
-def frailty_loglik(params, data, quad_points: int = 15) -> float:
+def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     """Marginal log-likelihood of (lam, nu, beta, tau2) for a censored
     dataset, by adaptive Gauss-Hermite quadrature over the frailty.
 
@@ -201,7 +201,7 @@ def _beta_variance(hess: np.ndarray, index: int) -> float:
     return v if math.isfinite(v) else math.nan
 
 
-def _failed_fit(quad_points: int, log_likelihood: float = -math.inf) -> FrailtyFit:
+def _failed_fit(log_likelihood: float = -math.inf) -> FrailtyFit:
     return FrailtyFit(
         lambda_hat=math.nan,
         nu_hat=math.nan,
@@ -211,11 +211,10 @@ def _failed_fit(quad_points: int, log_likelihood: float = -math.inf) -> FrailtyF
         p_value=math.nan,
         converged=False,
         log_likelihood=log_likelihood,
-        quad_points=quad_points,
     )
 
 
-def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
+def fit_frailty(data) -> FrailtyFit:
     """Fit the Weibull frailty model to right-censored data by maximum
     marginal likelihood.
 
@@ -232,7 +231,6 @@ def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
     small (0.87 times the spread of beta_hat; size 0.082 at alpha 0.05
     with 3 lines x 3 animals per arm). See README, "Known limitations".
     """
-    quad_points = int(quad_points)
     codes, tx, y, status = as_arrays(data)
     if np.unique(codes).size < 2:
         raise ValueError("fit requires at least 2 distinct lines")
@@ -240,10 +238,10 @@ def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
     events_tx = float(status[tx == 1].sum())
     if events_ctl == 0 or events_tx == 0:
         # no information about the hazard ratio in one arm: never estimate
-        return _failed_fit(quad_points)
+        return _failed_fit()
 
     gd = _GroupData(codes, tx, y, status)
-    x, logw = _hermite_nodes(quad_points)
+    x, logw = _hermite_nodes(_QUAD_POINTS)
     nofrail_shift = math.log(_TAU_FLOOR) - 60.0
 
     def nll_nofrailty(p3: np.ndarray) -> float:
@@ -256,7 +254,7 @@ def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
     start3 = np.array([math.log(lam_exp), 0.0, 0.0])
     res3 = minimize(nll_nofrailty, start3, method="BFGS", options={"maxiter": _MAX_ITER})
     if not math.isfinite(res3.fun):
-        return _failed_fit(quad_points)
+        return _failed_fit()
     res = minimize(
         nll,
         np.append(res3.x, math.log(0.3)),
@@ -264,7 +262,7 @@ def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
         options={"maxiter": _MAX_ITER},
     )
     if not math.isfinite(res.fun) or res.nit >= _MAX_ITER:
-        return _failed_fit(quad_points)
+        return _failed_fit()
 
     tau2_hat = math.exp(2.0 * res.x[3])
     if tau2_hat <= _TAU2_BOUNDARY:
@@ -281,13 +279,13 @@ def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
         hess = _hessian(lambda q: -nll(q), point.copy())
     var_beta = _beta_variance(hess, 2)
     if not var_beta > 0:
-        return _failed_fit(quad_points, log_likelihood)
+        return _failed_fit(log_likelihood)
 
     # quadrature stability at the optimum: refuse fits the node count cannot pin down
-    x2, logw2 = _hermite_nodes(2 * quad_points + 1)
+    x2, logw2 = _hermite_nodes(2 * _QUAD_POINTS + 1)
     ll_fine = _loglik_core(res.x, gd, x2, logw2)
     if abs(-float(res.fun) - ll_fine) > _QUAD_TOL:
-        return _failed_fit(quad_points, log_likelihood)
+        return _failed_fit(log_likelihood)
 
     beta = float(point[2])
     se = math.sqrt(var_beta)
@@ -300,7 +298,6 @@ def fit_frailty(data, quad_points: int = 15) -> FrailtyFit:
         p_value=2.0 * float(norm.sf(abs(beta / se))),
         converged=True,
         log_likelihood=log_likelihood,
-        quad_points=quad_points,
     )
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -30,7 +29,6 @@ __all__ = [
     "power_json_dict",
     "write_power_json",
     "read_power_json",
-    "PowerReport",
 ]
 
 
@@ -198,17 +196,3 @@ def read_power_json(path) -> Tuple[PowerTable, List[Tuple[int, int]]]:
     )
     frontier = [(int(n), int(m)) for n, m in doc["frontier"]]
     return table, frontier
-
-
-@dataclass(frozen=True)
-class PowerReport:
-    """A finished analysis: parameter echo, per-cell table, and the
-    minimal designs meeting the target."""
-
-    table: PowerTable
-    frontier: Tuple[Tuple[int, int], ...]
-    target_power: float
-
-    @property
-    def header(self) -> Dict[str, object]:
-        return _params_dict(self.table) | {"seed": self.table.seed}

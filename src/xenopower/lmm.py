@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.stats import norm, t as t_dist
+from scipy.stats import t as t_dist
 
 from ._data import as_arrays
 
@@ -91,14 +91,13 @@ def _profile(theta: float, st: _Sufficient):
     return neg2ll, beta0, beta, sigma2, var_beta
 
 
-def fit_lmm(data, *, z_test: bool = False) -> LmmFit:
+def fit_lmm(data) -> LmmFit:
     """Fit the random-intercept model to a dataset by REML and compute the
     two-sided test of zero treatment effect.
 
     Outcomes are supplied on the raw positive scale; the log is taken
     internally. The test statistic beta_hat/se is referred to a Student-t
-    distribution with df = N - lines - 1 unless ``z_test`` requests a
-    standard-normal reference instead.
+    distribution with df = N - lines - 1.
     """
     codes, tx, y, _status = as_arrays(data)
     if np.unique(codes).size < 2:
@@ -137,11 +136,7 @@ def fit_lmm(data, *, z_test: bool = False) -> LmmFit:
         )
     se = math.sqrt(var_beta)
     df = float(st.N - st.k - 1)
-    tstat = beta / se
-    if z_test:
-        p = 2.0 * float(norm.sf(abs(tstat)))
-    else:
-        p = 2.0 * float(t_dist.sf(abs(tstat), df))
+    p = 2.0 * float(t_dist.sf(abs(beta / se), df))
     return LmmFit(
         beta0_hat=float(beta0),
         beta_hat=float(beta),

@@ -16,7 +16,6 @@ __all__ = [
     "FrailtyParams",
     "PilotRecord",
     "PilotDataset",
-    "ReplicateOutcome",
     "PowerRow",
     "PowerTable",
     "validate_grid",
@@ -34,7 +33,8 @@ class DesignGrid:
     n_values are candidate numbers of tumor lines; m_values are candidate
     numbers of animals per line per treatment arm. ``sim`` is the number of
     Monte Carlo replicates per grid cell and ``seed`` the master seed from
-    which every replicate stream is derived.
+    which every replicate stream is derived. An invalid grid raises
+    ValidationError at construction.
     """
 
     n_values: Tuple[int, ...]
@@ -46,6 +46,7 @@ class DesignGrid:
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         object.__setattr__(self, "m_values", tuple(int(v) for v in self.m_values))
+        validate_grid(self)
 
 
 @dataclass(frozen=True)
@@ -155,23 +156,6 @@ class PilotDataset:
 
 
 @dataclass(frozen=True)
-class ReplicateOutcome:
-    """Per-replicate record of the simulate/fit/test cycle."""
-
-    rejected: bool
-    converged: bool
-    censoring_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.rejected and not self.converged:
-            raise ValidationError("a replicate cannot reject without a converged fit")
-        if not 0.0 <= self.censoring_fraction <= 1.0:
-            raise ValidationError(
-                f"censoring_fraction must lie in [0,1], got {self.censoring_fraction}"
-            )
-
-
-@dataclass(frozen=True)
 class PowerRow:
     """One grid cell of a power table. Percentages carry full precision;
     rounding happens only at display time."""
@@ -229,7 +213,8 @@ class PowerTable:
 def validate_grid(grid: DesignGrid) -> DesignGrid:
     """Check every DesignGrid invariant, returning the grid unchanged.
 
-    Raises ValidationError naming the offending field otherwise.
+    Raises ValidationError naming the offending field otherwise. DesignGrid
+    calls this at construction, so every DesignGrid already passes it.
     """
     if not grid.n_values:
         raise ValidationError("n_values must be nonempty")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -119,6 +120,19 @@ class TestExitCodes:
         )
         assert code == 4
         assert "converged" in err
+
+    def test_dead_worker_is_4(self, capsys, monkeypatch):
+        def crash(job, progress=None):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr("xenopower.cli.run_power_grid", crash)
+        code, out, err = run_cli(
+            capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", *FAST,
+        )
+        assert code == 4
+        assert "error: a worker process died" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestRangeSyntax:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from xenopower.datagen import gen_anova, gen_frailty, replicate_stream
 from xenopower.engine import EngineError, PowerJob, minimal_designs, run_power_grid
-from xenopower.io import PowerReport, power_csv_text
+from xenopower.frailty import fit_frailty, wald_test_frailty
+from xenopower.io import power_csv_text, power_json_dict
+from xenopower.lmm import fit_lmm, wald_test_lmm
 from xenopower.types import (
     AnovaParams,
     DesignGrid,
@@ -15,6 +20,8 @@ from xenopower.types import (
 )
 
 ANOVA_PILOT = AnovaParams(beta0=0.0653, beta=0.7299, tau2=0.0332, sigma2=0.386)
+CENSORED_FRAILTY = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                                 censor=True, ct=12.0)
 
 # power-by-cell table from the pilot-driven log-normal run (sim=500),
 # used as a fixed input for frontier logic
@@ -45,12 +52,24 @@ def small_anova_job(workers=1, sim=40, seed=2024):
     return PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=workers)
 
 
+def small_frailty_job(workers=1, sim=16, seed=2024):
+    grid = DesignGrid(n_values=(3, 4), m_values=(2,), sim=sim, alpha=0.05, seed=seed)
+    return PowerJob(grid=grid, model=CENSORED_FRAILTY, worker_count=workers)
+
+
+def assert_same_across_worker_counts(make_job):
+    tables = [run_power_grid(make_job(workers=w)) for w in (1, 2, 8)]
+    assert tables[0].rows == tables[1].rows == tables[2].rows
+    texts = {power_csv_text(t) for t in tables}
+    assert len(texts) == 1
+
+
 class TestDeterminism:
     def test_identical_output_across_worker_counts(self):
-        tables = [run_power_grid(small_anova_job(workers=w)) for w in (1, 2, 8)]
-        assert tables[0].rows == tables[1].rows == tables[2].rows
-        texts = {power_csv_text(t) for t in tables}
-        assert len(texts) == 1
+        assert_same_across_worker_counts(small_anova_job)
+
+    def test_identical_censored_frailty_output_across_worker_counts(self):
+        assert_same_across_worker_counts(small_frailty_job)
 
     def test_counting_identity(self):
         table = run_power_grid(small_anova_job())
@@ -62,15 +81,52 @@ class TestDeterminism:
 
     def test_header_round_trip(self):
         table = run_power_grid(small_anova_job())
-        report = PowerReport(table=table, frontier=tuple(minimal_designs(table, 0.8)),
-                             target_power=0.8)
-        h = report.header
+        doc = power_json_dict(table, minimal_designs(table, 0.8))
+        h = doc["params"] | {"seed": doc["seed"]}
         params = AnovaParams(beta0=h["beta0"], beta=h["beta"], tau2=h["tau2"],
                              sigma2=h["sigma2"])
         grid = DesignGrid(n_values=(3, 4), m_values=(2, 3), sim=h["sim"],
                           alpha=h["alpha"], seed=h["seed"])
         rerun = run_power_grid(PowerJob(grid=grid, model=params, worker_count=1))
         assert rerun.rows == table.rows
+
+
+class TestReplicatePipeline:
+    # censoring at t=4 leaves about one fit in six non-converged at (3, 2),
+    # so the frailty case exercises the dropped-replicate path
+    @pytest.mark.filterwarnings("ignore:cell .* convergence rate")
+    @pytest.mark.parametrize(
+        "model, gen, fit, test",
+        [(ANOVA_PILOT, gen_anova, fit_lmm, wald_test_lmm),
+         (replace(CENSORED_FRAILTY, ct=4.0), gen_frailty, fit_frailty, wald_test_frailty)],
+        ids=["anova", "frailty"],
+    )
+    def test_row_equals_hand_loop(self, model, gen, fit, test):
+        n, m, sim, alpha, seed = 3, 2, 24, 0.05, 77
+        grid = DesignGrid(n_values=(n,), m_values=(m,), sim=sim, alpha=alpha, seed=seed)
+        row = run_power_grid(PowerJob(grid=grid, model=model, worker_count=1)).rows[0]
+
+        censoring = np.zeros(sim)
+        n_conv = n_rej = 0
+        for r in range(sim):
+            data = gen(n, m, model, replicate_stream(seed, n, m, r))
+            censoring[r] = 1.0 - data.status.mean()
+            try:
+                result = fit(data)
+            except (ValueError, FloatingPointError, np.linalg.LinAlgError):
+                continue
+            if result.converged:
+                n_conv += 1
+                n_rej += bool(test(result, alpha))
+
+        assert row.convergence == 100.0 * n_conv / sim
+        if isinstance(model, FrailtyParams):
+            assert n_conv < sim
+        assert row.power == 100.0 * n_rej / n_conv
+        if isinstance(model, AnovaParams):
+            assert row.censoring is None
+        else:
+            assert row.censoring == float(100.0 * np.mean(censoring))
 
 
 class TestProgress:
@@ -167,7 +223,6 @@ class TestJobValidation:
         with pytest.raises(ValidationError, match="model"):
             PowerJob(grid=grid, model="anova")
 
-    def test_invalid_grid_rejected_at_run(self):
-        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=10, alpha=2.0, seed=1)
+    def test_invalid_grid_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="alpha"):
-            run_power_grid(PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=1))
+            DesignGrid(n_values=(3,), m_values=(2,), sim=10, alpha=2.0, seed=1)

@@ -219,5 +219,5 @@ def frailty_fit_like(beta, se):
     return FrailtyFit(
         lambda_hat=0.3, nu_hat=1.0, beta_hat=beta, se_beta=se, tau2_hat=0.1,
         p_value=2.0 * float(norm.sf(abs(beta / se))), converged=True,
-        log_likelihood=0.0, quad_points=15,
+        log_likelihood=0.0,
     )

@@ -10,7 +10,6 @@ from xenopower.types import (
     PilotRecord,
     PowerRow,
     PowerTable,
-    ReplicateOutcome,
     ValidationError,
     validate_grid,
 )
@@ -123,16 +122,6 @@ class TestPilotDataset:
     def test_line_ids_first_appearance_order(self):
         rows = [PilotRecord("x9", 1.0, 0), PilotRecord("a1", 2.0, 1), PilotRecord("x9", 3.0, 1)]
         assert PilotDataset(rows=tuple(rows)).line_ids() == ("x9", "a1")
-
-
-class TestReplicateOutcome:
-    def test_reject_implies_converged(self):
-        with pytest.raises(ValidationError):
-            ReplicateOutcome(rejected=True, converged=False)
-
-    def test_censoring_fraction_bounds(self):
-        with pytest.raises(ValidationError):
-            ReplicateOutcome(rejected=False, converged=True, censoring_fraction=1.5)
 
 
 class TestPowerTable:
