@@ -8,7 +8,8 @@ of obtaining parameters (assumed medians vs. a pilot-data fit):
     xenopower pow-anova-data    --data pilot.csv
     xenopower pow-frailty-data  --data pilot.csv [--censor-time]
 
-Exit codes: 2 flag validation, 3 data-file errors, 4 engine failure.
+Exit codes: 2 flag validation, 3 data-file errors, 4 engine failure or
+interrupted.
 """
 
 from __future__ import annotations
@@ -250,6 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenProcessPool:
         print("error: a worker process died (for example, killed for lack of memory); "
               "rerun with fewer --threads", file=sys.stderr)
+        return EXIT_ENGINE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_ENGINE
 
     frontier = minimal_designs(table, args.target_power)

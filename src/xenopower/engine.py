@@ -3,8 +3,9 @@
 Each replicate of each cell draws its random stream from the master seed
 and its own (n, m, r) coordinates, so results are bit-identical no matter
 how many workers run or how work is scheduled. Replicates are simulated,
-fitted, and tested independently; per-cell results are reduced in
-replicate order.
+fitted, and tested independently. Cells are reduced in grid order, each
+from its replicates in replicate order, as soon as they are in; a cell
+under 50% convergence ends the run there, before later cells are reduced.
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -65,10 +67,11 @@ class PowerJob:
                 )
 
 
-def _run_chunk(task) -> Tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
+def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Worker entry: simulate, fit and test replicates r_start..r_stop-1 of
-    one cell. A fit that raises or does not converge counts as neither
-    converged nor rejected."""
+    one cell, returning (rejected, converged, censoring) in replicate order.
+    A fit that raises or does not converge counts as neither converged nor
+    rejected."""
     model, n, m, alpha, seed, r_start, r_stop = task
     # looked up at call time so the layer functions can be swapped on the module
     if isinstance(model, AnovaParams):
@@ -89,7 +92,7 @@ def _run_chunk(task) -> Tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]
         if result.converged:
             converged[i] = True
             rejected[i] = test(result, alpha)
-    return n, m, r_start, rejected, converged, censoring
+    return rejected, converged, censoring
 
 
 def _resolve_workers(worker_count: Union[int, str]) -> int:
@@ -98,9 +101,33 @@ def _resolve_workers(worker_count: Union[int, str]) -> int:
     return int(worker_count)
 
 
+def _reduce_cell(n: int, m: int, rejected: np.ndarray, converged: np.ndarray,
+                 censoring: np.ndarray, is_frailty: bool) -> PowerRow:
+    """One cell's row; raises EngineError or warns when replicates failed to converge."""
+    n_conv = int(converged.sum())
+    convergence = 100.0 * n_conv / converged.size
+    if convergence < _MIN_CONVERGENCE_PCT:
+        raise EngineError(
+            f"cell (n={n}, m={m}) converged in only {convergence:.1f}% of replicates; "
+            "power would be meaningless"
+        )
+    if convergence < _WARN_CONVERGENCE_PCT:
+        warnings.warn(
+            f"cell (n={n}, m={m}) convergence rate {convergence:.1f}% is below 99%",
+            RuntimeWarning,
+            stacklevel=3,  # the caller of run_power_grid
+        )
+    return PowerRow(
+        n=n, m=m, total_animals=2 * n * m,
+        power=100.0 * int(rejected.sum()) / n_conv, convergence=convergence,
+        censoring=float(100.0 * np.mean(censoring)) if is_frailty else None,
+    )
+
+
 def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]] = None) -> PowerTable:
     """Estimate power for every (n, m) cell of the job's grid.
 
+    A cell below 50% convergence raises EngineError before later cells run.
     ``progress``, when given, is called with (cells_completed, total_cells)
     from the coordinating thread each time a cell finishes. The returned
     table is identical for any worker count.
@@ -110,71 +137,24 @@ def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]]
     cells = [(n, m) for n in grid.n_values for m in grid.m_values]
     sim, alpha, seed = grid.sim, grid.alpha, grid.seed
     is_frailty = isinstance(job.model, FrailtyParams)
+    chunks_per_cell = len(range(0, sim, _CHUNK))
+    tasks = [(job.model, n, m, alpha, seed, r0, min(r0 + _CHUNK, sim))
+             for n, m in cells for r0 in range(0, sim, _CHUNK)]
 
-    tasks = []
-    for n, m in cells:
-        for r0 in range(0, sim, _CHUNK):
-            tasks.append((job.model, n, m, alpha, seed, r0, min(r0 + _CHUNK, sim)))
-
-    rej = {c: np.zeros(sim, dtype=bool) for c in cells}
-    conv = {c: np.zeros(sim, dtype=bool) for c in cells}
-    cens = {c: np.zeros(sim, dtype=np.float64) for c in cells}
-    pending = {c: 0 for c in cells}
-    for t in tasks:
-        pending[(t[1], t[2])] += 1
-
-    done_cells = 0
-
-    def _absorb(result):
-        nonlocal done_cells
-        n, m, r0, rejected, converged, censoring = result
-        cell = (n, m)
-        rej[cell][r0:r0 + rejected.size] = rejected
-        conv[cell][r0:r0 + converged.size] = converged
-        cens[cell][r0:r0 + censoring.size] = censoring
-        pending[cell] -= 1
-        if pending[cell] == 0:
-            done_cells += 1
+    # one worker stays in-process so the layer functions can be swapped
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        results = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+        rows: List[PowerRow] = []
+        for n, m in cells:
+            chunks = list(islice(results, chunks_per_cell))
+            outcomes = (np.concatenate(arrays) for arrays in zip(*chunks))
+            rows.append(_reduce_cell(n, m, *outcomes, is_frailty))
             if progress is not None:
-                progress(done_cells, len(cells))
-
-    if workers == 1:
-        for t in tasks:
-            _absorb(_run_chunk(t))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, t) for t in tasks]
-            for fut in as_completed(futures):
-                _absorb(fut.result())
-
-    rows: List[PowerRow] = []
-    for n, m in cells:
-        cell = (n, m)
-        n_conv = int(conv[cell].sum())
-        n_rej = int((rej[cell] & conv[cell]).sum())
-        convergence = 100.0 * n_conv / sim
-        if convergence < _MIN_CONVERGENCE_PCT:
-            raise EngineError(
-                f"cell (n={n}, m={m}) converged in only {convergence:.1f}% of replicates; "
-                "power would be meaningless"
-            )
-        if convergence < _WARN_CONVERGENCE_PCT:
-            warnings.warn(
-                f"cell (n={n}, m={m}) convergence rate {convergence:.1f}% is below 99%",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        power = 100.0 * n_rej / n_conv
-        rows.append(
-            PowerRow(
-                n=n,
-                m=m,
-                total_animals=2 * n * m,
-                power=power,
-                convergence=convergence,
-                censoring=float(100.0 * np.mean(cens[cell])) if is_frailty else None,
-            )
-        )
+                progress(len(rows), len(cells))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     return PowerTable(
         rows=tuple(rows),

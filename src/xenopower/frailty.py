@@ -252,15 +252,14 @@ def fit_frailty(data) -> FrailtyFit:
 
     lam_exp = max(gd.n_events / float(np.exp(gd.logy).sum()), 1e-12)
     start3 = np.array([math.log(lam_exp), 0.0, 0.0])
-    res3 = minimize(nll_nofrailty, start3, method="BFGS", options={"maxiter": _MAX_ITER})
-    if not math.isfinite(res3.fun):
-        return _failed_fit()
-    res = minimize(
-        nll,
-        np.append(res3.x, math.log(0.3)),
-        method="BFGS",
-        options={"maxiter": _MAX_ITER},
-    )
+    # BFGS finite differences give inf - inf where the likelihood diverges;
+    # such fits are caught as non-finite or non-converged below
+    with np.errstate(invalid="ignore"):
+        res3 = minimize(nll_nofrailty, start3, method="BFGS", options={"maxiter": _MAX_ITER})
+        if not math.isfinite(res3.fun):
+            return _failed_fit()
+        res = minimize(nll, np.append(res3.x, math.log(0.3)), method="BFGS",
+                       options={"maxiter": _MAX_ITER})
     if not math.isfinite(res.fun) or res.nit >= _MAX_ITER:
         return _failed_fit()
 

@@ -7,6 +7,7 @@ across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Tuple, Union
 
 __all__ = [
@@ -231,6 +232,10 @@ def validate_grid(grid: DesignGrid) -> DesignGrid:
             raise ValidationError(f"{name} must be duplicate-free")
         if list(vals) != sorted(vals):
             raise ValidationError(f"{name} must be ascending")
+    for name in ("sim", "seed"):
+        value = getattr(grid, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if grid.sim < 1:
         raise ValidationError(f"sim must be at least 1, got {grid.sim}")
     if not 0.0 < grid.alpha < 1.0:

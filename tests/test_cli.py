@@ -121,16 +121,21 @@ class TestExitCodes:
         assert code == 4
         assert "converged" in err
 
-    def test_dead_worker_is_4(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("exc, message", [
+        pytest.param(BrokenProcessPool("a child process terminated abruptly"),
+                     "error: a worker process died", id="broken_pool"),
+        pytest.param(KeyboardInterrupt(), "error: interrupted", id="interrupt"),
+    ])
+    def test_dead_worker_is_4(self, capsys, monkeypatch, exc, message):
         def crash(job, progress=None):
-            raise BrokenProcessPool("a child process terminated abruptly")
+            raise exc
 
         monkeypatch.setattr("xenopower.cli.run_power_grid", crash)
         code, out, err = run_cli(
             capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", *FAST,
         )
         assert code == 4
-        assert "error: a worker process died" in err
+        assert message in err
         assert "Traceback" not in err
         assert out == ""
 

@@ -137,11 +137,20 @@ class TestProgress:
 
 
 class TestConvergenceHandling:
-    def test_all_censored_cell_is_an_error(self):
-        grid = DesignGrid(n_values=(2,), m_values=(2,), sim=10, alpha=0.05, seed=5)
+    def test_all_censored_cell_is_an_error(self, monkeypatch):
+        generated_n = []
+
+        def spy(n, m, params, stream):
+            generated_n.append(n)
+            return gen_frailty(n, m, params, stream)
+
+        monkeypatch.setattr("xenopower.engine.gen_frailty", spy)
+        grid = DesignGrid(n_values=(2, 3), m_values=(2,), sim=10, alpha=0.05, seed=5)
         model = FrailtyParams(lam=1e-6, nu=1.0, beta=0.0, tau2=0.0, censor=True, ct=1.0)
         with pytest.raises(EngineError, match=r"cell \(n=2, m=2\)"):
             run_power_grid(PowerJob(grid=grid, model=model, worker_count=1))
+        # the run ends at the first hopeless cell: no later cell is simulated
+        assert generated_n and 3 not in generated_n
 
     def test_partial_convergence_warns(self):
         grid = DesignGrid(n_values=(2,), m_values=(2,), sim=60, alpha=0.05, seed=5)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,16 @@ class TestFit:
         assert math.isnan(fit.beta_hat)
         with pytest.raises(ValueError):
             wald_test_frailty(fit, 0.05)
+
+    def test_divergent_likelihood_fails_without_numpy_warnings(self):
+        # BFGS finite differences on this dataset hit inf - inf
+        params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                               censor=True, ct=4.0)
+        ds = gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_frailty(ds)
+        assert not fit.converged
 
     def test_single_line_is_hard_error(self):
         ds = SimulatedDataset(

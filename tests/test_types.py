@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from xenopower.types import (
@@ -62,6 +63,15 @@ class TestDesignGrid:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             validate_grid(make_grid(seed=-1))
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("sim", 4.5), ("sim", True)])
+    def test_non_integer_sim_or_seed_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            make_grid(**{field: value})
+
+    def test_numpy_integer_sim_and_seed_accepted(self):
+        grid = make_grid(sim=np.int64(4), seed=np.uint64(2**63))
+        assert validate_grid(grid) is grid
 
 
 class TestAnovaParams:
