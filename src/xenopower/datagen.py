@@ -9,6 +9,7 @@ dataset never depends on how replicates are scheduled across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +48,14 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+@lru_cache(maxsize=128)
 def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Line labels and arm indicators of cell (n, m), shared read-only by
+    every dataset drawn for that cell."""
     line = np.repeat(np.arange(1, n + 1), 2 * m)
     tx = np.tile(np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)]), n)
+    line.flags.writeable = False
+    tx.flags.writeable = False
     return line, tx
 
 

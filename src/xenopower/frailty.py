@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ._data import as_arrays
 
@@ -294,7 +294,7 @@ def fit_frailty(data) -> FrailtyFit:
         beta_hat=beta,
         se_beta=se,
         tau2_hat=tau2_hat,
-        p_value=2.0 * float(norm.sf(abs(beta / se))),
+        p_value=2.0 * float(ndtr(-abs(beta / se))),
         converged=True,
         log_likelihood=log_likelihood,
     )

@@ -7,8 +7,14 @@ The model for a positive outcome Y is
 
 For a fixed variance ratio theta = tau2/sigma2 the fixed effects and
 sigma2 have closed forms, so the restricted likelihood is profiled down
-to a one-dimensional search over log theta. The boundary theta = 0 is
-always evaluated as a candidate, making tau2_hat = 0 a legal estimate.
+to the single parameter theta. Under balance (every line with the same
+number of animals, half of them treated) the treatment contrast is
+orthogonal to the lines and the REML theta is the ANOVA mean-squares
+estimate (Searle, Casella & McCulloch, Variance Components, 1992, ch. 4),
+so simulated designs get it in closed form. Unbalanced data, such as a
+pilot with a lost animal, get a bounded one-dimensional search over
+log theta, with the boundary theta = 0 always evaluated as a candidate.
+Either way tau2_hat = 0 is a legal estimate.
 """
 
 from __future__ import annotations
@@ -18,15 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from ._data import as_arrays
 
 __all__ = ["LmmFit", "fit_lmm", "wald_test_lmm"]
 
-_LOG_THETA_LO = math.log(1e-8)
-_LOG_THETA_HI = math.log(1e6)
+_THETA_LO = 1e-8
+_THETA_HI = 1e6
+_LOG_THETA_LO = math.log(_THETA_LO)
+_LOG_THETA_HI = math.log(_THETA_HI)
 _XATOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -83,12 +92,34 @@ def _profile(theta: float, st: _Sufficient):
     rss = ytwy - (b0 * beta0 + b1 * beta)
     dof = st.N - 2
     sigma2 = rss / dof
-    if not sigma2 > 0 or not math.isfinite(sigma2):
+    # a residual within rounding of the sums is an exact fit, sigma2 = 0
+    if not rss > st.N * _EPS * st.Syy or not math.isfinite(sigma2):
         return math.inf, math.nan, math.nan, math.nan, math.nan
     logdet_v0 = float(np.sum(np.log1p(theta * st.ni)))
     neg2ll = dof * (math.log(2.0 * math.pi * sigma2) + 1.0) + logdet_v0 + math.log(det)
     var_beta = sigma2 * a00 / det
     return neg2ll, beta0, beta, sigma2, var_beta
+
+
+def _balanced_theta(st: _Sufficient):
+    """REML variance ratio from the ANOVA mean squares of a balanced
+    design, clamped to the search's range; None when the design is not
+    balanced.
+    """
+    if not (np.all(st.ni == st.ni[0]) and np.all(2.0 * st.sx == st.ni)):
+        return None
+    J = float(st.ni[0])
+    ssl = float(st.sy @ st.sy) / J
+    # within-line spread of tx around its line mean of 1/2 (N/4 for 0/1 coding)
+    sxx_w = st.Sxx - st.N / 4.0
+    msw = (st.Syy - ssl - (st.Sxy - st.Sy / 2.0) ** 2 / sxx_w) / (st.N - st.k - 1)
+    msb = (ssl - st.Sy * st.Sy / st.N) / (st.k - 1)
+    if not msw > 0:
+        return _THETA_HI
+    theta = (msb - msw) / (J * msw)
+    if theta <= _THETA_LO:
+        return 0.0
+    return min(theta, _THETA_HI)
 
 
 def fit_lmm(data) -> LmmFit:
@@ -100,27 +131,30 @@ def fit_lmm(data) -> LmmFit:
     distribution with df = N - lines - 1.
     """
     codes, tx, y, _status = as_arrays(data)
-    if np.unique(codes).size < 2:
+    if codes.size == 0 or codes.min() == codes.max():
         raise ValueError("fit requires at least 2 distinct lines")
     if y.size < 3:
         raise ValueError("fit requires at least 3 observations")
     if np.any(y <= 0):
         raise ValueError("all outcomes must be positive")
-    if np.unique(tx).size < 2:
+    if tx.min() == tx.max():
         raise ValueError("both treatment arms must be present")
 
     st = _Sufficient(codes, tx, np.log(y))
-    res = minimize_scalar(
-        lambda lt: _profile(math.exp(lt), st)[0],
-        bounds=(_LOG_THETA_LO, _LOG_THETA_HI),
-        method="bounded",
-        options={"xatol": _XATOL},
-    )
-    neg2_zero = _profile(0.0, st)[0]
-    converged = bool(res.success) and (math.isfinite(res.fun) or math.isfinite(neg2_zero))
-    theta = math.exp(res.x) if res.fun < neg2_zero else 0.0
-    if theta <= 1e-8:
-        theta = 0.0
+    theta = _balanced_theta(st)
+    converged = True
+    if theta is None:
+        res = minimize_scalar(
+            lambda lt: _profile(math.exp(lt), st)[0],
+            bounds=(_LOG_THETA_LO, _LOG_THETA_HI),
+            method="bounded",
+            options={"xatol": _XATOL},
+        )
+        neg2_zero = _profile(0.0, st)[0]
+        converged = bool(res.success) and (math.isfinite(res.fun) or math.isfinite(neg2_zero))
+        theta = math.exp(res.x) if res.fun < neg2_zero else 0.0
+        if theta <= _THETA_LO:
+            theta = 0.0
     neg2, beta0, beta, sigma2, var_beta = _profile(theta, st)
     if not (math.isfinite(neg2) and var_beta > 0):
         return LmmFit(
@@ -136,7 +170,7 @@ def fit_lmm(data) -> LmmFit:
         )
     se = math.sqrt(var_beta)
     df = float(st.N - st.k - 1)
-    p = 2.0 * float(t_dist.sf(abs(beta / se), df))
+    p = 2.0 * float(stdtr(df, -abs(beta / se)))
     return LmmFit(
         beta0_hat=float(beta0),
         beta_hat=float(beta),

@@ -54,6 +54,14 @@ class TestDesignShape:
             assert int((ds.tx[sel] == 0).sum()) == m
             assert int((ds.tx[sel] == 1).sum()) == m
 
+    def test_design_arrays_are_shared_read_only(self):
+        # every dataset of a cell shares one copy, so none may write to it
+        a = gen_anova(3, 2, anova_params(), replicate_stream(5, 3, 2, 0))
+        b = gen_frailty(3, 2, frailty_params(), replicate_stream(5, 3, 2, 1))
+        assert a.line_index is b.line_index and a.tx is b.tx
+        with pytest.raises(ValueError, match="read-only"):
+            a.tx[0] = 1
+
     def test_small_cell_counts_and_positivity(self):
         ds = gen_anova(3, 2, anova_params(), replicate_stream(5, 3, 2, 0))
         assert ds.y.size == 12

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import arm_means_log
+from xenopower import lmm
+from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_anova, replicate_stream
 from xenopower.lmm import fit_lmm, restricted_loglik_at, wald_test_lmm
 from xenopower.types import AnovaParams, PilotDataset, PilotRecord
@@ -97,6 +99,136 @@ class TestAgainstOracles:
         fit = fit_lmm(pilot_lognormal)
         assert fit.log_restricted_likelihood >= restricted_loglik_at(pilot_lognormal, 0.0) - 1e-8
         assert fit.log_restricted_likelihood >= restricted_loglik_at(pilot_lognormal, 1e6) - 1e-8
+
+
+def search_fit(monkeypatch, data):
+    """Oracle: the bounded search fit, with the closed form switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(lmm, "_balanced_theta", lambda st: None)
+        return fit_lmm(data)
+
+
+def closed_form_theta(ds):
+    codes, tx, y, _status = as_arrays(ds)
+    return lmm._balanced_theta(lmm._Sufficient(codes, tx, np.log(y)))
+
+
+def balanced_design(n, m, log_y):
+    line = np.repeat(np.arange(1, n + 1), 2 * m)
+    tx = np.tile(np.r_[np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)], n)
+    return SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y(line, tx)),
+                            status=np.ones(line.size, dtype=np.int64))
+
+
+class TestBalancedClosedForm:
+    def test_matches_search_on_random_balanced_cells(self, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        boundary = 0
+        for r in range(300):
+            n, m = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+            tau2 = float(rng.choice([0.0, 0.01, 0.1, 0.5, 2.0]))
+            params = AnovaParams(beta0=1.0, beta=0.5, tau2=tau2, sigma2=0.4)
+            ds = gen_anova(n, m, params, replicate_stream(11, n, m, r))
+            fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+            cell = f"(n={n}, m={m}, tau2={tau2}, r={r})"
+            assert fast.converged == slow.converged, cell
+            assert (fast.tau2_hat == 0) == (slow.tau2_hat == 0), cell
+            assert abs(fast.p_value - slow.p_value) <= 1e-6, cell
+            boundary += slow.tau2_hat == 0
+        assert boundary >= 30  # the tau2_hat = 0 decision is exercised
+
+    def test_zero_within_line_ss(self, monkeypatch):
+        # y = line effect + treatment effect exactly: MSW = 0 clamps theta
+        ds = balanced_design(4, 3, lambda line, tx: 0.3 * line + 0.7 * tx)
+        assert closed_form_theta(ds) == 1e6
+        fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+        assert fast.converged and slow.converged
+        assert fast.beta_hat == pytest.approx(0.7, abs=1e-12)
+        assert abs(fast.p_value - slow.p_value) <= 1e-6
+
+    @pytest.mark.parametrize("value", [1.0, 3.0, 7.3])
+    def test_all_outcomes_equal_is_not_converged(self, monkeypatch, value):
+        # log 1 = 0 is exact; other constants leave rounding noise in the residual
+        ds = balanced_design(4, 3, lambda line, tx: np.full(line.size, math.log(value)))
+        fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+        assert not fast.converged
+        assert not slow.converged
+
+    def test_variance_ratio_above_range_is_clamped(self, monkeypatch):
+        noise = 1e-3 * np.random.default_rng(5).standard_normal(24)
+        ds = balanced_design(4, 3, lambda line, tx: 50.0 * line + 0.7 * tx + noise)
+        assert closed_form_theta(ds) == 1e6
+        fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+        assert fast.converged and slow.converged
+        assert fast.tau2_hat == pytest.approx(1e6 * fast.sigma2_hat, rel=1e-12)
+        assert fast.tau2_hat == pytest.approx(slow.tau2_hat, rel=1e-6)
+        assert abs(fast.p_value - slow.p_value) <= 1e-6
+
+    def test_boundary_draw_is_identical_to_search(self, monkeypatch):
+        # both paths evaluate the profile at exactly theta = 0
+        params = AnovaParams(beta0=2.0, beta=0.5, tau2=0.0, sigma2=0.4)
+        ds = gen_anova(4, 3, params, replicate_stream(1, 4, 3, 0))
+        assert closed_form_theta(ds) == 0.0
+        assert fit_lmm(ds) == search_fit(monkeypatch, ds)
+
+
+class TestRouting:
+    @pytest.fixture
+    def search_calls(self, monkeypatch):
+        calls = []
+        real = lmm.minimize_scalar
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lmm, "minimize_scalar", spy)
+        return calls
+
+    @staticmethod
+    def assert_matches_grid_search(fit, line_index, tx, y):
+        # unbalanced, beta depends on theta, so agreement is limited by the
+        # grid's log-theta step of 0.0032; the likelihood never falls below
+        # the grid's best
+        theta, beta, _, ll = brute_force_reml(line_index, tx, y)
+        assert fit.tau2_hat / fit.sigma2_hat == pytest.approx(theta, rel=2e-3)
+        assert fit.beta_hat == pytest.approx(beta[1], abs=1e-4)
+        assert ll - 1e-8 <= fit.log_restricted_likelihood <= ll + 1e-5
+
+    @staticmethod
+    def generated_cell():
+        params = AnovaParams(beta0=0.5, beta=0.7, tau2=0.15, sigma2=0.4)
+        return gen_anova(4, 3, params, replicate_stream(3, 4, 3, 0))
+
+    def test_balanced_data_skip_the_search(self, search_calls, pilot_lognormal):
+        assert fit_lmm(self.generated_cell()).converged
+        assert fit_lmm(pilot_lognormal).converged
+        assert search_calls == []
+
+    def test_unbalanced_generated_cell_uses_the_search(self, search_calls):
+        ds = self.generated_cell()
+        keep = np.arange(ds.y.size) != 5  # one treated animal of line 1 lost
+        short = SimulatedDataset(line_index=ds.line_index[keep], tx=ds.tx[keep],
+                                 y=ds.y[keep], status=ds.status[keep])
+        fit = fit_lmm(short)
+        assert len(search_calls) == 1
+        self.assert_matches_grid_search(fit, short.line_index, short.tx, short.y)
+
+    def test_unequal_arms_within_equal_lines_use_the_search(self, search_calls):
+        ds = self.generated_cell()
+        tx = ds.tx.copy()
+        tx[0] = 1  # line 1 keeps 6 animals but has 2 controls and 4 treated
+        moved = SimulatedDataset(line_index=ds.line_index, tx=tx, y=ds.y, status=ds.status)
+        fit = fit_lmm(moved)
+        assert len(search_calls) == 1
+        self.assert_matches_grid_search(fit, moved.line_index, moved.tx, moved.y)
+
+    def test_pilot_with_a_dropped_row_uses_the_search(self, search_calls, pilot_lognormal):
+        short = PilotDataset(rows=pilot_lognormal.rows[1:])
+        fit = fit_lmm(short)
+        assert len(search_calls) == 1
+        self.assert_matches_grid_search(fit, [r.id for r in short.rows],
+                                        [r.tx for r in short.rows], [r.y for r in short.rows])
 
 
 class TestBoundary:

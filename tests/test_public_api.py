@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +27,11 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"xenopower.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of start-up in every worker
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xenopower.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, xenopower; assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
