@@ -6,6 +6,8 @@ how many workers run or how work is scheduled. Replicates are simulated,
 fitted, and tested independently. Cells are reduced in grid order, each
 from its replicates in replicate order, as soon as they are in; a cell
 under 50% convergence ends the run there, before later cells are reduced.
+Worker processes get at most two chunks each ahead of the one being read,
+so a run that ends early leaves little work behind.
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
 _CHUNK = 32
 _MIN_CONVERGENCE_PCT = 50.0
 _WARN_CONVERGENCE_PCT = 99.0
+_WINDOW_PER_WORKER = 2
 
 
 class EngineError(RuntimeError):
@@ -95,6 +99,18 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rejected, converged, censoring
 
 
+def _windowed(pool: ProcessPoolExecutor, tasks: list, window: int) -> Iterator:
+    """_run_chunk results over tasks in order, with at most ``window``
+    chunks submitted ahead of the one being read, so a run that stops
+    early leaves little work behind."""
+    remaining = iter(tasks)
+    pending = deque(pool.submit(_run_chunk, task) for task in islice(remaining, window))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(_run_chunk, task) for task in islice(remaining, 1))
+        yield result
+
+
 def _resolve_workers(worker_count: Union[int, str]) -> int:
     if worker_count == "auto":
         return max(os.cpu_count() or 1, 1)
@@ -144,7 +160,8 @@ def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]]
     # one worker stays in-process so the layer functions can be swapped
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+        results = (map(_run_chunk, tasks) if pool is None
+                   else _windowed(pool, tasks, _WINDOW_PER_WORKER * workers))
         rows: List[PowerRow] = []
         for n, m in cells:
             chunks = list(islice(results, chunks_per_cell))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import stdtr
 
 from ._data import as_arrays
@@ -144,6 +143,9 @@ def fit_lmm(data) -> LmmFit:
     theta = _balanced_theta(st)
     converged = True
     if theta is None:
+        # only unbalanced data (a pilot with a lost animal) pay for this import
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda lt: _profile(math.exp(lt), st)[0],
             bounds=(_LOG_THETA_LO, _LOG_THETA_HI),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from concurrent.futures import Executor, Future
 from dataclasses import replace
 
 import numpy as np
@@ -151,6 +152,30 @@ class TestConvergenceHandling:
             run_power_grid(PowerJob(grid=grid, model=model, worker_count=1))
         # the run ends at the first hopeless cell: no later cell is simulated
         assert generated_n and 3 not in generated_n
+
+    def test_hopeless_first_cell_stops_submitting_chunks(self, monkeypatch):
+        # an in-process stand-in for the worker pool that counts submitted chunks
+        submitted = []
+
+        class CountingPool(Executor):
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def submit(self, fn, *args):
+                submitted.append(args[0][1:3])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("xenopower.engine.ProcessPoolExecutor", CountingPool)
+        grid = DesignGrid(n_values=(2, 3, 4, 5, 6), m_values=(2,), sim=64, alpha=0.05, seed=5)
+        model = FrailtyParams(lam=1e-6, nu=1.0, beta=0.0, tau2=0.0, censor=True, ct=1.0)
+        with pytest.raises(EngineError, match=r"cell \(n=2, m=2\)"):
+            run_power_grid(PowerJob(grid=grid, model=model, worker_count=2))
+        # two chunks of the failing cell plus a window of two per worker,
+        # not all ten chunks of the grid
+        assert len(submitted) == 2 + 2 * 2
+        assert submitted[:2] == [(2, 2), (2, 2)]
 
     def test_partial_convergence_warns(self):
         grid = DesignGrid(n_values=(2,), m_values=(2,), sim=60, alpha=0.05, seed=5)

@@ -6,9 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.optimize import minimize
+from scipy.special import ndtr
+
+from xenopower import frailty
+from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_frailty, replicate_stream
+from xenopower.datasets import pilot_censored
 from xenopower.frailty import fit_frailty, frailty_loglik, wald_test_frailty
 from xenopower.types import FrailtyParams
+
+MEDIAN_FRAILTY = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                               censor=True, ct=12.0)
+# log tau at which the quadrature-based likelihood collapses to the no-frailty one
+NO_FRAILTY_LOG_TAU = math.log(frailty._TAU_FLOOR) - 60.0
 
 
 def trapezoid_loglik(lam, nu, beta, tau2, line_index, tx, y, status, n_points=200_001):
@@ -29,6 +40,89 @@ def trapezoid_loglik(lam, nu, beta, tau2, line_index, tx, y, status, n_points=20
         )
         total += math.log(np.trapezoid(np.exp(log_f), grid))
     return total
+
+
+def central_gradient(f, p, h=1e-5):
+    """Central-difference gradient of f at p."""
+    out = np.empty(p.size)
+    for i in range(p.size):
+        step = np.zeros(p.size)
+        step[i] = h
+        out[i] = (f(p + step) - f(p - step)) / (2.0 * h)
+    return out
+
+
+def central_hessian(f, p, h=1e-4):
+    """Central-difference Hessian of f at p."""
+    npar = p.size
+    out = np.empty((npar, npar))
+    f0 = f(p)
+    for i in range(npar):
+        pp, pm = p.copy(), p.copy()
+        pp[i] += h
+        pm[i] -= h
+        out[i, i] = (f(pp) - 2.0 * f0 + f(pm)) / (h * h)
+        for j in range(i + 1, npar):
+            qpp, qpm, qmp, qmm = p.copy(), p.copy(), p.copy(), p.copy()
+            qpp[[i, j]] += h
+            qmm[[i, j]] -= h
+            qpm[i] += h
+            qpm[j] -= h
+            qmp[i] -= h
+            qmp[j] += h
+            out[i, j] = out[j, i] = (f(qpp) - f(qpm) - f(qmp) + f(qmm)) / (4.0 * h * h)
+    return out
+
+
+def group_data(data):
+    return frailty._GroupData(*as_arrays(data))
+
+
+def quadrature_loglik(gd, quad_points=15):
+    """The fitted log-likelihood in (log lam, log nu, beta, log tau)."""
+    x, logw = frailty._hermite_nodes(quad_points)
+    return lambda q: frailty._loglik_core(q, gd, x, logw)
+
+
+def bfgs_no_frailty(gd):
+    """Oracle: the no-frailty optimum by BFGS with finite-difference
+    gradients, from the exponential-rate start."""
+    ll = quadrature_loglik(gd)
+
+    def nll3(q):
+        return -ll(np.append(q, NO_FRAILTY_LOG_TAU))
+
+    start = np.array([math.log(gd.n_events / float(np.exp(gd.logy).sum())), 0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        res = minimize(nll3, start, method="BFGS", options={"gtol": 1e-9})
+    return res.x, -float(res.fun), lambda q: -nll3(q)
+
+
+def bfgs_fit(data):
+    """Oracle: the quasi-Newton fit with finite-difference gradients and
+    Hessian that the analytic Newton fit replaced. Returns
+    (converged, log_likelihood, beta_hat, tau2_hat, p_value)."""
+    gd = group_data(data)
+    ll = quadrature_loglik(gd)
+    x3, ll3_value, ll3 = bfgs_no_frailty(gd)
+    with np.errstate(invalid="ignore"):
+        res = minimize(lambda q: -ll(q), np.append(x3, math.log(0.3)), method="BFGS",
+                       options={"maxiter": 500})
+    if not math.isfinite(res.fun) or res.nit >= 500:
+        return False, -math.inf, math.nan, math.nan, math.nan
+    tau2 = math.exp(2.0 * res.x[3])
+    if tau2 <= 1e-8:
+        tau2, point, value, hess = 0.0, x3, ll3_value, central_hessian(ll3, x3.copy())
+    else:
+        point, value, hess = res.x, -float(res.fun), central_hessian(ll, res.x.copy())
+    try:
+        var_beta = float(np.linalg.inv(-hess)[2, 2])
+    except np.linalg.LinAlgError:
+        var_beta = math.nan
+    if not var_beta > 0 or abs(-res.fun - quadrature_loglik(gd, 31)(res.x)) > 1e-4:
+        return False, value, math.nan, math.nan, math.nan
+    z = float(point[2]) / math.sqrt(var_beta)
+    return True, value, float(point[2]), tau2, 2.0 * float(ndtr(-abs(z)))
 
 
 def small_two_line_dataset():
@@ -141,7 +235,7 @@ class TestFit:
             wald_test_frailty(fit, 0.05)
 
     def test_divergent_likelihood_fails_without_numpy_warnings(self):
-        # BFGS finite differences on this dataset hit inf - inf
+        # the likelihood diverges on this dataset; no numpy warning may escape
         params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=4.0)
         ds = gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 1))
@@ -181,6 +275,109 @@ class TestFit:
             l15 = frailty_loglik(est, ds, quad_points=15)
             l31 = frailty_loglik(est, ds, quad_points=31)
             assert abs(l15 - l31) <= 1e-4
+
+
+def oracle_datasets(source):
+    if source == "pilot":
+        return [pilot_censored()]
+    n, m = {"n3m2": (3, 2), "n10m8": (10, 8)}[source]
+    return [gen_frailty(n, m, MEDIAN_FRAILTY, replicate_stream(31, n, m, r)) for r in range(3)]
+
+
+class TestAnalyticDerivatives:
+    @pytest.mark.parametrize("tau", [0.3, 0.01], ids=["tau0.3", "small_tau"])
+    @pytest.mark.parametrize("source", ["n3m2", "n10m8", "pilot"])
+    def test_match_finite_differences(self, source, tau):
+        # random points around the no-frailty optimum; the fixed-node score
+        # and information against differences of the fitted likelihood
+        rng = np.random.default_rng(7)
+        x, logw = frailty._hermite_nodes(15)
+        for ds in oracle_datasets(source):
+            gd = group_data(ds)
+            f = quadrature_loglik(gd)
+            centre = bfgs_no_frailty(gd)[0]
+            for _ in range(3):
+                p = np.append(centre + rng.normal(0.0, 0.2, 3), math.log(tau) + rng.normal(0.0, 0.2))
+                value, score, hess = frailty._loglik_derivs(p, gd, x, logw)
+                assert value == pytest.approx(f(p), abs=1e-10)
+                assert np.all(np.abs(score - central_gradient(f, p))
+                              <= 1e-6 * np.maximum(1.0, np.abs(score)))
+                assert np.all(np.abs(hess - central_hessian(f, p))
+                              <= 1e-4 * np.maximum(1.0, np.abs(hess)))
+
+
+class TestNoFrailtyStage:
+    @pytest.mark.parametrize("source", ["n3m2", "n10m8", "pilot"])
+    def test_matches_bfgs_oracle(self, source):
+        for ds in oracle_datasets(source):
+            gd = group_data(ds)
+            p, value, hess, tau2_score = frailty._no_frailty_fit(gd)
+            q, q_value, ll3 = bfgs_no_frailty(gd)
+            assert np.max(np.abs(p - q)) <= 1e-6
+            # the exact optimum is never below the search's
+            assert value >= q_value - 1e-12
+            assert value == pytest.approx(ll3(p), abs=1e-9)
+            assert np.all(np.abs(hess - central_hessian(ll3, p))
+                          <= 1e-4 * np.maximum(1.0, np.abs(hess)))
+            # the tau2-score at tau2 = 0, against a forward difference in tau2
+            u = 1e-7
+            forward = (quadrature_loglik(gd)(np.append(p, 0.5 * math.log(u))) - value) / u
+            assert tau2_score == pytest.approx(forward, rel=1e-4, abs=1e-6)
+
+
+class TestNearBoundary:
+    def test_collapsed_fit_takes_se_from_reduced_model(self):
+        # the quasi-Newton fit stopped at tau2_hat 2.4e-8 here and took
+        # se_beta 0.0985 from a Hessian whose log tau row was rounding
+        # noise; the no-frailty model's information gives 0.3135
+        ds = gen_frailty(6, 5, MEDIAN_FRAILTY, replicate_stream(5, 6, 5, 38))
+        fit = fit_frailty(ds)
+        q, _, ll3 = bfgs_no_frailty(group_data(ds))
+        se = math.sqrt(float(np.linalg.inv(-central_hessian(ll3, q))[2, 2]))
+        assert fit.converged
+        assert fit.se_beta == pytest.approx(se, rel=1e-3)
+
+    def test_hopeless_fit_fails_within_budget(self, monkeypatch):
+        # the replicate whose likelihood diverges (see TestFit); every
+        # likelihood or derivative evaluation is counted
+        calls = []
+        for name in ("_loglik_core", "_loglik_derivs"):
+            def spy(*args, _real=getattr(frailty, name)):
+                calls.append(1)
+                return _real(*args)
+
+            monkeypatch.setattr(frailty, name, spy)
+        params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                               censor=True, ct=4.0)
+        ds = gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 1))
+        fit = fit_frailty(ds)
+        assert not fit.converged
+        assert 0 < len(calls) <= 60
+
+
+class TestAgainstQuasiNewtonOracle:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, m", [(3, 2), (6, 5)])
+    def test_fits_agree_with_bfgs_fits(self, n, m):
+        # 300 replicates at the median parameters: the Newton fit never ends
+        # lower, agrees on beta_hat where both are interior, converges
+        # wherever the oracle does, and flips a decision only where the two
+        # disagree on tau2_hat = 0
+        interior = 0
+        for r in range(300):
+            ds = gen_frailty(n, m, MEDIAN_FRAILTY, replicate_stream(5, n, m, r))
+            fit = fit_frailty(ds)
+            converged, value, beta, tau2, p_value = bfgs_fit(ds)
+            if not converged:
+                continue
+            assert fit.converged, r
+            assert fit.log_likelihood >= value - 1e-6, r
+            if fit.tau2_hat > 0 and tau2 > 0:
+                interior += 1
+                assert abs(fit.beta_hat - beta) <= 1e-4, r
+            if (fit.p_value < 0.05) != (p_value < 0.05):
+                assert (fit.tau2_hat == 0) != (tau2 == 0), r
+        assert interior >= 100
 
 
 class TestInvariances:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import arm_means_log
 from xenopower import lmm
@@ -175,14 +176,15 @@ class TestBalancedClosedForm:
 class TestRouting:
     @pytest.fixture
     def search_calls(self, monkeypatch):
+        # fit_lmm imports the search from scipy.optimize when it needs it
         calls = []
-        real = lmm.minimize_scalar
+        real = scipy.optimize.minimize_scalar
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lmm, "minimize_scalar", spy)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
         return calls
 
     @staticmethod

@@ -29,9 +29,19 @@ def test_submodule_exports_resolve(name):
     assert missing == []
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of start-up in every worker
+def assert_import_leaves_unloaded(module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(xenopower.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, xenopower; assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'"
+    code = f"import sys, xenopower; assert {module!r} not in sys.modules, '{module} imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of start-up in every worker
+    assert_import_leaves_unloaded("scipy.stats")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a quarter of a second; only an unbalanced
+    # LMM fit imports it
+    assert_import_leaves_unloaded("scipy.optimize")
