@@ -6,9 +6,11 @@ The conditional hazard for an animal in line i is
 
 and the marginal likelihood integrates the per-line product of Weibull
 densities/survivals over the frailty. Each line integral is evaluated by
-adaptive Gauss-Hermite quadrature: the integrand's mode is located by
-Newton steps on a strictly concave function, the nodes are recentered and
-rescaled by the curvature there, and the sum is accumulated in log space.
+adaptive Gauss-Hermite quadrature (Pinheiro & Chao, JCGS 2006): the nodes
+are recentered at the integrand's mode and rescaled by the curvature
+there, and the sum is accumulated in log space. The mode has a closed form
+in the Wright omega function (Lawrence, Corless & Jeffrey, ACM TOMS 2012,
+Algorithm 917), so no search runs inside an evaluation.
 
 The fit runs over (log lam, log nu, beta, log tau) in two stages. The
 no-frailty model (tau = 0) is solved exactly: for fixed nu each arm's
@@ -30,13 +32,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, wrightomega
 
 from ._data import as_arrays
 
 __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
 
 _TAU_FLOOR = 1e-5
+_LOG_TAU_FLOOR = math.log(_TAU_FLOOR)
+_LOG_PI = math.log(math.pi)
 _QUAD_TOL = 1e-4
 _QUAD_POINTS = 15
 # Newton search: parameter box, budget, and stopping rule
@@ -84,7 +88,7 @@ class _GroupData:
     """Precomputed per-dataset quantities reused across likelihood calls."""
 
     __slots__ = ("k", "logy", "tx", "delta", "d", "sum_dlogy", "sum_dtx", "n_events",
-                 "member", "basis", "mode")
+                 "member", "basis")
 
     def __init__(self, codes: np.ndarray, tx: np.ndarray, y: np.ndarray, delta: np.ndarray):
         self.k = int(codes.max()) + 1
@@ -98,8 +102,6 @@ class _GroupData:
         self.member = (codes[None, :] == np.arange(self.k)[:, None]).astype(np.float64)
         logy = self.logy
         self.basis = np.column_stack((np.ones_like(logy), logy, tx, logy * logy, logy * tx, tx * tx))
-        # the last integrand modes found, where the next mode search starts
-        self.mode = None
 
 
 def _loglik_core(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray) -> float:
@@ -107,68 +109,57 @@ def _loglik_core(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray)
     p = (log lam, log nu, beta, log tau)."""
     loglam, lognu, beta = p[0], p[1], p[2]
     nu = math.exp(lognu)
-    tau = math.exp(p[3])
-    tau2 = tau * tau
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
-        if not np.all(np.isfinite(cum)):
-            return -math.inf
+    cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
+    if not np.isfinite(cum).all():
+        return -math.inf
     k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.sum_dtx
-    if tau2 < _TAU_FLOOR * _TAU_FLOOR:
+    if p[3] < _LOG_TAU_FLOOR:
         # floor: the frailty collapses and the likelihood is flat in log tau
         return float(k_total - cum.sum())
-    lines = _line_quadrature(gd.d, gd.member @ cum, tau2, x, logw)
+    lines = _line_quadrature(gd.d, gd.member @ cum, p[3], x, logw)
     return -math.inf if lines is None else k_total + lines[0]
 
 
-def _line_quadrature(d: np.ndarray, a_cum: np.ndarray, tau2: float, x: np.ndarray,
-                     logw: np.ndarray, start=None):
+def _line_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: float, x: np.ndarray,
+                     logw: np.ndarray):
     """Sum over lines of log integral(N(a; 0, tau2) * exp(d*a - A*exp(a)) da)
-    by adaptive Gauss-Hermite quadrature, with each line's modes, normalised
-    node weights, exp(node) and node^2/tau2; None where the mode search
-    fails or the sum is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mode = _integrand_modes(d, a_cum, tau2, start)
-        if mode is None:
-            return None
-        scale = 1.0 / np.sqrt(1.0 / tau2 + a_cum * np.exp(mode))
-        nodes = mode[:, None] + math.sqrt(2.0) * scale[:, None] * x[None, :]
-        ea = np.exp(nodes)
-        q = nodes * nodes / tau2
-        lw = logw[None, :] - 0.5 * q + d[:, None] * nodes - a_cum[:, None] * ea
-        mx = lw.max(axis=1)
-        w = np.exp(lw - mx[:, None])
-        sw = w.sum(axis=1)
-        total = float(
-            np.sum(np.log(scale) + mx + np.log(sw)) - 0.5 * d.size * math.log(math.pi * tau2)
-        )
+    by adaptive Gauss-Hermite quadrature, with each line's normalised node
+    weights (lines, nodes) and node features (lines, 2, nodes): exp(node)
+    and node^2/tau2; None where the sum is not finite. Each line's nodes
+    are centred at its mode, with scale tau / sqrt(1 + omega).
+    """
+    tau2 = math.exp(2.0 * logtau)
+    mode, omega = _integrand_modes(d, a_cum, tau2)
+    root = np.sqrt(1.0 + omega)
+    nodes = mode[:, None] + (math.sqrt(2.0 * tau2) / root)[:, None] * x
+    feats = np.empty((d.size, 2, x.size))
+    ea = np.exp(nodes, out=feats[:, 0])
+    q = np.multiply(nodes, nodes, out=feats[:, 1])
+    q /= tau2
+    lw = logw - 0.5 * q + d[:, None] * nodes - a_cum[:, None] * ea
+    mx = lw.max(axis=1)
+    w = np.exp(lw - mx[:, None])
+    sw = w.sum(axis=1)
+    # per line, log(tau / root) for the node scale less log(sqrt(pi * tau2))
+    # leaves -log(root) - log(pi)/2
+    total = float((mx + np.log(sw / root)).sum()) - 0.5 * d.size * _LOG_PI
     if not math.isfinite(total):
         return None
-    return total, mode, w / sw[:, None], ea, q
+    return total, w / sw[:, None], feats
 
 
-def _integrand_modes(d: np.ndarray, a_cum: np.ndarray, tau2: float, start=None):
-    """Per-line maximizers of -a^2/(2 tau2) + d*a - A*exp(a).
+def _integrand_modes(d: np.ndarray, a_cum: np.ndarray, tau2: float):
+    """Per-line maximizers of -a^2/(2 tau2) + d*a - A*exp(a), and omega.
 
-    The objective's derivative is concave and decreasing, so damped Newton
-    converges from any start (by default one below the root); returns None
-    if the search fails to settle.
+    The maximizer solves a/tau2 + A*exp(a) = d. With
+    omega = wrightomega(log A + log tau2 + d*tau2) it is d*tau2 - omega,
+    where A*exp(a) = omega/tau2, so the curvature there is
+    (1 + omega)/tau2. A line with A = 0 gets omega = 0 and mode d*tau2;
+    a nan A gives a nan mode.
     """
-    a = np.minimum(0.0, np.log(np.maximum(d, 0.5) / a_cum)) if start is None else start
-    for _ in range(100):
-        ea = np.exp(a)
-        grad = -a / tau2 + d - a_cum * ea
-        curv = -1.0 / tau2 - a_cum * ea
-        step = np.clip(grad / curv, -4.0, 4.0)
-        a = a - step
-        if np.max(np.abs(step)) < 1e-10:
-            break
-    else:
-        return None
-    if not np.all(np.isfinite(a)):
-        return None
-    return a
+    dt = d * tau2
+    omega = wrightomega(np.log(a_cum) + math.log(tau2) + dt)
+    return dt - omega, omega
 
 
 def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
@@ -186,12 +177,11 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     codes, tx, y, status = as_arrays(data)
     if y.size == 0:
         raise ValueError("dataset is empty")
-    gd = _GroupData(codes, tx, y, status)
     x, logw = _hermite_nodes(int(quad_points))
-    logtau = math.log(math.sqrt(tau2)) if tau2 > 0 else math.log(_TAU_FLOOR) - 60.0
-    value = _loglik_core(
-        np.array([math.log(lam), math.log(nu), beta, logtau]), gd, x, logw
-    )
+    logtau = 0.5 * math.log(tau2) if tau2 > 0 else _LOG_TAU_FLOOR - 60.0
+    with np.errstate(all="ignore"):
+        value = _loglik_core(np.array([math.log(lam), math.log(nu), beta, logtau]),
+                             _GroupData(codes, tx, y, status), x, logw)
     if value == -math.inf:
         raise FloatingPointError("frailty likelihood evaluation diverged")
     return value
@@ -204,13 +194,11 @@ def _hazard_sums(p: np.ndarray, gd: _GroupData):
     Also returns nu and the event part of the log-likelihood."""
     loglam, lognu, beta = p[0], p[1], p[2]
     nu = math.exp(lognu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
-        if not np.all(np.isfinite(cum)):
-            return None
-        sums = gd.member @ (cum[:, None] * gd.basis)
-        if not np.all(np.isfinite(sums)):
-            return None
+    cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
+    # an infinite or nan hazard reaches every line's sums (0 * inf is nan)
+    sums = gd.member @ (cum[:, None] * gd.basis)
+    if not np.isfinite(sums).all():
+        return None
     # d/d(log nu) of exp(nu log y) brings down nu log y
     sums *= np.array([1.0, nu, 1.0, nu * nu, nu, 1.0])
     sums[:, 3] += sums[:, 1]
@@ -231,33 +219,31 @@ def _loglik_derivs(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarra
     if terms is None:
         return None
     sums, nu, k_total = terms
-    tau2 = math.exp(2.0 * p[3])
-    lines = _line_quadrature(gd.d, sums[:, 0], tau2, x, logw, gd.mode)
+    lines = _line_quadrature(gd.d, sums[:, 0], p[3], x, logw)
     if lines is None:
         return None
-    total, gd.mode, w, ea, q = lines
-    # weighted moments of exp(a) and a^2/tau2, the integrand's score
-    # factors in the hazard parameters and in log tau
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1 = (w * ea).sum(axis=1)
-        q1 = (w * q).sum(axis=1)
-        de = ea - e1[:, None]
-        dq = q - q1[:, None]
-        ve = (w * de * de).sum(axis=1)
-        vq = (w * dq * dq).sum(axis=1)
-        ceq = (w * de * dq).sum(axis=1)
+    total, w, feats = lines
+    # per-line weighted means and centred second moments of exp(a) and
+    # a^2/tau2, the integrand's score factors in the hazard parameters
+    # and in log tau
+    mean = feats @ w[:, :, None]
+    dev = feats - mean
+    cov = (dev * w[:, None, :]) @ dev.transpose(0, 2, 1)
+    e1, q1 = mean[:, 0, 0], float(mean[:, 1, 0].sum())
+    e_sums = e1 @ sums
     grad_a = sums[:, :3]
-    score = np.empty(4)
+    # score and Hessian share one buffer, so one check covers both
+    out = np.empty(20)
+    score, hess = out[:4], out[4:].reshape(4, 4)
     # the event part's score: D, D + nu * sum(delta log y), sum(delta tx)
     score[:3] = (gd.n_events, gd.n_events + nu * gd.sum_dlogy, gd.sum_dtx)
-    score[:3] -= e1 @ grad_a
-    score[3] = float(q1.sum()) - gd.k
-    hess = np.empty((4, 4))
-    hess[:3, :3] = grad_a.T @ (ve[:, None] * grad_a) - (e1 @ sums)[_SECOND]
+    score[:3] -= e_sums[:3]
+    score[3] = q1 - gd.k
+    hess[:3, :3] = grad_a.T @ (cov[:, 0, :1] * grad_a) - e_sums[_SECOND]
     hess[1, 1] += nu * gd.sum_dlogy
-    hess[3, :3] = hess[:3, 3] = -(ceq @ grad_a)
-    hess[3, 3] = float(vq.sum() - 2.0 * q1.sum())
-    if not (np.all(np.isfinite(score)) and np.all(np.isfinite(hess))):
+    hess[3, :3] = hess[:3, 3] = -(cov[:, 0, 1] @ grad_a)
+    hess[3, 3] = float(cov[:, 1, 1].sum()) - 2.0 * q1
+    if not np.isfinite(out).all():
         return None
     return k_total + total, score, hess
 
@@ -412,9 +398,8 @@ def fit_frailty(data) -> FrailtyFit:
     information. The fit is flagged non-converged when either stage leaves
     the box |log nu| <= log 50, log tau <= log 20, the Newton search
     stalls or spends its budget of 30 steps, the information matrix yields
-    no positive variance for beta, the mode search inside quadrature
-    fails, or the quadrature has not stabilized (15- vs 31-point
-    disagreement).
+    no positive variance for beta, or the quadrature is not finite or has
+    not stabilized (15- vs 31-point disagreement).
 
     At designs with few events the normal-reference p_value over-rejects:
     nu_hat is biased upward and the observed-information se_beta is too
@@ -422,7 +407,7 @@ def fit_frailty(data) -> FrailtyFit:
     with 3 lines x 3 animals per arm). See README, "Known limitations".
     """
     codes, tx, y, status = as_arrays(data)
-    if np.unique(codes).size < 2:
+    if codes.size == 0 or codes.min() == codes.max():
         raise ValueError("fit requires at least 2 distinct lines")
     events_ctl = float(status[tx == 0].sum())
     events_tx = float(status[tx == 1].sum())
@@ -430,28 +415,31 @@ def fit_frailty(data) -> FrailtyFit:
         # no information about the hazard ratio in one arm: never estimate
         return _failed_fit()
 
-    gd = _GroupData(codes, tx, y, status)
-    x, logw = _hermite_nodes(_QUAD_POINTS)
-    start = _no_frailty_fit(gd)
-    if start is None:
-        return _failed_fit()
-    p0, value0, hess0, tau2_score0 = start
+    # the helpers set no errstate of their own: log(0) for a zero hazard and
+    # overflowing trial iterates end at their finiteness checks
+    with np.errstate(all="ignore"):
+        gd = _GroupData(codes, tx, y, status)
+        x, logw = _hermite_nodes(_QUAD_POINTS)
+        start = _no_frailty_fit(gd)
+        if start is None:
+            return _failed_fit()
+        p0, value0, hess0, tau2_score0 = start
 
-    outcome, point, log_likelihood, hess = _newton(
-        np.append(p0, _LOG_TAU_START), gd, x, logw, value0, tau2_score0)
-    if outcome == "failed":
-        return _failed_fit(log_likelihood)
-    if outcome == "boundary":
-        tau2_hat, point, log_likelihood, hess = 0.0, p0, value0, hess0
-    else:
-        tau2_hat = math.exp(2.0 * float(point[3]))
-        # quadrature stability at the optimum: refuse fits the node count cannot pin down
-        x2, logw2 = _hermite_nodes(2 * _QUAD_POINTS + 1)
-        if abs(log_likelihood - _loglik_core(point, gd, x2, logw2)) > _QUAD_TOL:
+        outcome, point, log_likelihood, hess = _newton(
+            np.append(p0, _LOG_TAU_START), gd, x, logw, value0, tau2_score0)
+        if outcome == "failed":
             return _failed_fit(log_likelihood)
-    var_beta = _beta_variance(hess, 2)
-    if not var_beta > 0:
-        return _failed_fit(log_likelihood)
+        if outcome == "boundary":
+            tau2_hat, point, log_likelihood, hess = 0.0, p0, value0, hess0
+        else:
+            tau2_hat = math.exp(2.0 * float(point[3]))
+            # quadrature stability at the optimum: refuse fits the node count cannot pin down
+            x2, logw2 = _hermite_nodes(2 * _QUAD_POINTS + 1)
+            if abs(log_likelihood - _loglik_core(point, gd, x2, logw2)) > _QUAD_TOL:
+                return _failed_fit(log_likelihood)
+        var_beta = _beta_variance(hess, 2)
+        if not var_beta > 0:
+            return _failed_fit(log_likelihood)
 
     beta = float(point[2])
     se = math.sqrt(var_beta)

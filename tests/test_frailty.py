@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.optimize import minimize
-from scipy.special import ndtr
+from scipy.special import ndtr, wrightomega
 
 from xenopower import frailty
 from xenopower._data import as_arrays
@@ -20,6 +22,7 @@ MEDIAN_FRAILTY = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=12.0)
 # log tau at which the quadrature-based likelihood collapses to the no-frailty one
 NO_FRAILTY_LOG_TAU = math.log(frailty._TAU_FLOOR) - 60.0
+GOLDEN_FITS = Path(__file__).parent / "golden" / "frailty_fits.json"
 
 
 def trapezoid_loglik(lam, nu, beta, tau2, line_index, tx, y, status, n_points=200_001):
@@ -40,6 +43,22 @@ def trapezoid_loglik(lam, nu, beta, tau2, line_index, tx, y, status, n_points=20
         )
         total += math.log(np.trapezoid(np.exp(log_f), grid))
     return total
+
+
+def newton_modes(d, a_cum, tau2):
+    """Oracle: per-line maximizers of -a^2/(2 tau2) + d*a - A*exp(a) by
+    damped Newton from below the root, the search the closed form
+    replaced; None if it does not settle in 100 steps."""
+    a = np.minimum(0.0, np.log(np.maximum(d, 0.5) / a_cum))
+    for _ in range(100):
+        ea = np.exp(a)
+        grad = -a / tau2 + d - a_cum * ea
+        curv = -1.0 / tau2 - a_cum * ea
+        step = np.clip(grad / curv, -4.0, 4.0)
+        a = a - step
+        if np.max(np.abs(step)) < 1e-10:
+            return a
+    return None
 
 
 def central_gradient(f, p, h=1e-5):
@@ -203,6 +222,54 @@ class TestLoglik:
             frailty_loglik((0.3, 1.0, 0.0, -0.1), pilot_survival)
 
 
+class TestClosedFormModes:
+    @staticmethod
+    def grid(seed, size=400):
+        # event counts 0-40, log-uniform tau2 in [1e-10, 400] and A in [e^-12, e^8]
+        rng = np.random.default_rng(seed)
+        tau2s = np.exp(rng.uniform(math.log(1e-10), math.log(400.0), 40))
+        for tau2 in tau2s:
+            d = rng.integers(0, 41, size).astype(np.float64)
+            yield d, np.exp(rng.uniform(-12.0, 8.0, size)), float(tau2)
+
+    def test_matches_newton_oracle(self):
+        for d, a_cum, tau2 in self.grid(3):
+            mode, omega = frailty._integrand_modes(d, a_cum, tau2)
+            oracle = newton_modes(d, a_cum, tau2)
+            assert oracle is not None
+            assert np.all(np.abs(mode - oracle) <= 1e-10 * np.maximum(1.0, np.abs(oracle)))
+            # stationarity a/tau2 + A*exp(a) = d, relative to its terms
+            terms = (d, mode / tau2, a_cum * np.exp(mode))
+            residual = terms[0] - terms[1] - terms[2]
+            assert np.all(np.abs(residual) <= 1e-10 * sum(np.abs(t) for t in terms))
+
+    def test_node_scale_is_inverse_root_curvature(self):
+        for d, a_cum, tau2 in self.grid(5):
+            mode, omega = frailty._integrand_modes(d, a_cum, tau2)
+            scale = math.sqrt(tau2) / np.sqrt(1.0 + omega)
+            direct = 1.0 / np.sqrt(1.0 / tau2 + a_cum * np.exp(mode))
+            assert np.all(np.abs(scale - direct) <= 1e-10 * direct)
+
+    def test_zero_hazard_line_has_mode_d_tau2(self):
+        d = np.arange(0.0, 41.0)
+        for tau2 in (1e-10, 0.1, 400.0):
+            with np.errstate(divide="ignore"):
+                mode, omega = frailty._integrand_modes(d, np.zeros_like(d), tau2)
+            assert np.all(omega == 0.0)
+            assert np.all(mode == d * tau2)
+
+    def test_nan_hazard_gives_nan_mode(self):
+        mode, _ = frailty._integrand_modes(np.array([1.0, 2.0]), np.array([0.5, math.nan]), 0.1)
+        assert math.isfinite(mode[0]) and math.isnan(mode[1])
+
+    def test_wrightomega_is_real_float64(self):
+        # the closed form needs the real ufunc loop (scipy >= 1.10)
+        out = wrightomega(np.array([-math.inf, -40.0, 0.0, 40.0, math.nan]))
+        assert out.dtype == np.float64
+        assert out[0] == 0.0 and out[2] == pytest.approx(0.5671432904097838, rel=1e-15)
+        assert math.isnan(out[-1])
+
+
 class TestFit:
     def test_pilot_reference_estimates(self, pilot_survival):
         fit = fit_frailty(pilot_survival)
@@ -244,6 +311,24 @@ class TestFit:
             fit = fit_frailty(ds)
         assert not fit.converged
 
+    def test_extreme_parameters_evaluate_without_numpy_warnings(self):
+        # a hazard underflowing to 0 gives every line mode d*tau2 and the
+        # Gaussian integral exp(d^2 tau2 / 2); a huge one stays finite until
+        # it overflows, and then the evaluation diverges
+        ds = small_two_line_dataset()
+        lam, nu, tau2 = 1e-320, 0.5, 2.0
+        event = ds.status == 1
+        d = np.bincount(ds.line_index, weights=ds.status)
+        expected = float(np.sum(np.log(lam) + np.log(nu) + (nu - 1.0) * np.log(ds.y[event])))
+        expected += 0.5 * tau2 * float(d @ d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = frailty_loglik((lam, nu, 0.0, tau2), ds)
+            assert math.isfinite(frailty_loglik((1e300, 5.0, 0.0, tau2), ds))
+            with pytest.raises(FloatingPointError, match="diverged"):
+                frailty_loglik((1e300, 50.0, 0.0, tau2), ds)
+        assert value == pytest.approx(expected, abs=1e-9)
+
     def test_single_line_is_hard_error(self):
         ds = SimulatedDataset(
             line_index=np.array([1, 1, 1, 1]),
@@ -275,6 +360,55 @@ class TestFit:
             l15 = frailty_loglik(est, ds, quad_points=15)
             l31 = frailty_loglik(est, ds, quad_points=31)
             assert abs(l15 - l31) <= 1e-4
+
+
+class TestFrozenFits:
+    def test_match_fits_of_the_newton_mode_search(self):
+        r"""Fits equal those of the Newton mode search the closed form
+        replaced, frozen in golden/frailty_fits.json by this snippet run
+        at commit a8d6795 (stdout to the file)::
+
+            import json
+            from xenopower.datagen import gen_frailty, replicate_stream
+            from xenopower.datasets import pilot_censored
+            from xenopower.elicit import elicit_frailty_from_pilot
+            from xenopower.frailty import fit_frailty
+            from xenopower.types import FrailtyParams
+
+            median = dict(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                          censor=True, ct=12.0)
+            pilot = vars(elicit_frailty_from_pilot(pilot_censored(), censor=True, ct=8.0))
+            ct4 = dict(median, ct=4.0)
+            cells = [(median, 3, 2), (median, 6, 5), (median, 10, 8), (median, 3, 5),
+                     (pilot, 3, 2), (pilot, 6, 5), (ct4, 2, 1), (ct4, 3, 2)]
+            blocks = []
+            for params, n, m in cells:
+                fits = [fit_frailty(gen_frailty(n, m, FrailtyParams(**params),
+                                                replicate_stream(11, n, m, r)))
+                        for r in range(20)]
+                rows = ",\n".join(
+                    "  " + json.dumps([f.converged, f.tau2_hat, f.beta_hat, f.se_beta,
+                                       f.p_value] if f.converged else [False])
+                    for f in fits)
+                blocks.append(f' {{"n": {n}, "m": {m}, "params": {json.dumps(params)},'
+                              f' "fits": [\n{rows}]}}')
+            print('{"seed": 11, "configurations": [\n' + ",\n".join(blocks) + "]}")
+        """
+        golden = json.loads(GOLDEN_FITS.read_text())
+        seed = golden["seed"]
+        for cell in golden["configurations"]:
+            n, m, params = cell["n"], cell["m"], FrailtyParams(**cell["params"])
+            for r, frozen in enumerate(cell["fits"]):
+                fit = fit_frailty(gen_frailty(n, m, params, replicate_stream(seed, n, m, r)))
+                where = (cell["params"], n, m, r)
+                assert fit.converged == frozen[0], where
+                if not fit.converged:
+                    continue
+                _, tau2_hat, beta_hat, se_beta, p_value = frozen
+                assert (fit.tau2_hat == 0) == (tau2_hat == 0), where
+                assert abs(fit.p_value - p_value) <= 1e-9, where
+                assert fit.beta_hat == pytest.approx(beta_hat, rel=1e-8, abs=0), where
+                assert fit.se_beta == pytest.approx(se_beta, rel=1e-8, abs=0), where
 
 
 def oracle_datasets(source):
