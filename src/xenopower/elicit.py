@@ -10,6 +10,7 @@ aligned with the fitted-model reports.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 from .frailty import fit_frailty
@@ -22,6 +23,16 @@ __all__ = [
     "elicit_frailty_from_pilot",
     "elicit_frailty_from_medians",
 ]
+
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_medians(ctl_med: float, tx_med: float) -> None:
+    if not (0 < ctl_med < math.inf and 0 < tx_med < math.inf):
+        raise ValidationError(
+            f"median survival times must be positive and finite, got {ctl_med} and {tx_med}"
+        )
 
 
 def elicit_anova_from_pilot(data: PilotDataset) -> AnovaParams:
@@ -53,12 +64,11 @@ def elicit_anova_from_medians(
     beta0 = log(ctl_med), so the simulated control arm has the stated
     median.
     """
-    if not ctl_med > 0 or not tx_med > 0:
-        raise ValidationError("median survival times must be positive")
+    _check_medians(ctl_med, tx_med)
     if not 0.0 <= icc < 1.0:
         raise ValidationError(f"icc must lie in [0, 1), got {icc}")
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
+    if not 0 < sigma2 < math.inf:
+        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2}")
     return AnovaParams(
         beta0=math.log(ctl_med),
         beta=math.log(ctl_med) - math.log(tx_med),
@@ -108,14 +118,20 @@ def elicit_frailty_from_medians(
     Under proportional hazards the median ratio implies
     beta = nu * (log(ctl_med) - log(tx_med)), and the scale is calibrated
     so the zero-frailty control median equals ctl_med:
-    lam = log(2) / ctl_med**nu.
+    lam = log(2) / ctl_med**nu, which must be a positive normal float.
     """
-    if not ctl_med > 0 or not tx_med > 0:
-        raise ValidationError("median survival times must be positive")
-    if not nu > 0:
-        raise ValidationError(f"nu must be positive, got {nu}")
+    _check_medians(ctl_med, tx_med)
+    if not 0 < nu < math.inf:
+        raise ValidationError(f"nu must be positive and finite, got {nu}")
     if tau2 < 0:
         raise ValidationError(f"tau2 must be nonnegative, got {tau2}")
+    # checked in log space, where ctl_med**nu cannot overflow or underflow
+    log_lam = math.log(math.log(2.0)) - nu * math.log(ctl_med)
+    if not _LOG_FLOAT_MIN < log_lam < _LOG_FLOAT_MAX:
+        raise ValidationError(
+            f"ctl_med = {ctl_med} and nu = {nu} put lam = log(2)/ctl_med**nu "
+            f"= exp({log_lam:.6g}) outside the float range"
+        )
     return FrailtyParams(
         lam=math.log(2.0) / ctl_med**nu,
         nu=nu,

@@ -175,7 +175,6 @@ def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]]
 
     return PowerTable(
         rows=tuple(rows),
-        model="frailty" if is_frailty else "anova",
         params=job.model,
         sim=sim,
         alpha=alpha,

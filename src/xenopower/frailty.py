@@ -28,6 +28,7 @@ no-frailty optimum with tau2_hat = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +42,7 @@ __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
 _TAU_FLOOR = 1e-5
 _LOG_TAU_FLOOR = math.log(_TAU_FLOOR)
 _LOG_PI = math.log(math.pi)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _QUAD_TOL = 1e-4
 _QUAD_POINTS = 15
 # Newton search: parameter box, budget, and stopping rule
@@ -74,6 +76,12 @@ class FrailtyFit:
     log_likelihood: float
 
 
+# the one value every failing exit of fit_frailty returns
+_NOT_CONVERGED = FrailtyFit(lambda_hat=math.nan, nu_hat=math.nan, beta_hat=math.nan,
+                            se_beta=math.nan, tau2_hat=math.nan, p_value=math.nan,
+                            converged=False, log_likelihood=-math.inf)
+
+
 @lru_cache(maxsize=8)
 def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes x and log(w * exp(x^2)); cached, read-only."""
@@ -87,36 +95,55 @@ def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
 class _GroupData:
     """Precomputed per-dataset quantities reused across likelihood calls."""
 
-    __slots__ = ("k", "logy", "tx", "delta", "d", "sum_dlogy", "sum_dtx", "n_events",
-                 "member", "basis")
+    __slots__ = ("k", "logy", "tx", "d", "sum_dlogy", "sum_dtx", "n_events",
+                 "arm", "events", "member", "basis")
 
     def __init__(self, codes: np.ndarray, tx: np.ndarray, y: np.ndarray, delta: np.ndarray):
         self.k = int(codes.max()) + 1
         self.logy = np.log(y)
         self.tx = tx
-        self.delta = delta
         self.d = np.bincount(codes, weights=delta, minlength=self.k)
         self.sum_dlogy = float(delta @ self.logy)
         self.sum_dtx = float(delta @ tx)
         self.n_events = float(delta.sum())
+        # control and treated arm indicators, and each arm's event count
+        self.arm = np.stack((1.0 - tx, tx))
+        self.events = self.arm @ delta
         self.member = (codes[None, :] == np.arange(self.k)[:, None]).astype(np.float64)
         logy = self.logy
         self.basis = np.column_stack((np.ones_like(logy), logy, tx, logy * logy, logy * tx, tx * tx))
 
 
-def _loglik_core(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray) -> float:
-    """Marginal log-likelihood at transformed parameters
-    p = (log lam, log nu, beta, log tau)."""
+def _hazard_sums(p: np.ndarray, gd: _GroupData):
+    """Per-line cumulative hazards A = sum(lam y**nu exp(beta tx)) and their
+    derivatives in (l, s, b) = (log lam, log nu, beta), as a (lines, 6)
+    array with columns A (= A_l = A_ll), A_s, A_b, A_ss, A_sb, A_bb; None
+    where it overflows. Also returns nu and the event part of the log-likelihood."""
     loglam, lognu, beta = p[0], p[1], p[2]
     nu = math.exp(lognu)
     cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
-    if not np.isfinite(cum).all():
-        return -math.inf
+    # an infinite or nan hazard reaches every line's sums (0 * inf is nan)
+    sums = gd.member @ (cum[:, None] * gd.basis)
+    if not np.isfinite(sums).all():
+        return None
+    # d/d(log nu) of exp(nu log y) brings down nu log y
+    sums *= np.array([1.0, nu, 1.0, nu * nu, nu, 1.0])
+    sums[:, 3] += sums[:, 1]
     k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.sum_dtx
+    return sums, nu, k_total
+
+
+def _loglik_core(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray) -> float:
+    """Marginal log-likelihood at transformed parameters
+    p = (log lam, log nu, beta, log tau), or -inf where it is not finite."""
+    terms = _hazard_sums(p, gd)
+    if terms is None:
+        return -math.inf
+    sums, _, k_total = terms
     if p[3] < _LOG_TAU_FLOOR:
         # floor: the frailty collapses and the likelihood is flat in log tau
-        return float(k_total - cum.sum())
-    lines = _line_quadrature(gd.d, gd.member @ cum, p[3], x, logw)
+        return float(k_total - sums[:, 0].sum())
+    lines = _line_quadrature(gd.d, sums[:, 0], p[3], x, logw)
     return -math.inf if lines is None else k_total + lines[0]
 
 
@@ -187,25 +214,6 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     return value
 
 
-def _hazard_sums(p: np.ndarray, gd: _GroupData):
-    """Per-line cumulative hazards A and their derivatives in
-    (l, s, b) = (log lam, log nu, beta), as a (lines, 6) array with columns
-    A (= A_l = A_ll), A_s, A_b, A_ss, A_sb, A_bb; None where it overflows.
-    Also returns nu and the event part of the log-likelihood."""
-    loglam, lognu, beta = p[0], p[1], p[2]
-    nu = math.exp(lognu)
-    cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
-    # an infinite or nan hazard reaches every line's sums (0 * inf is nan)
-    sums = gd.member @ (cum[:, None] * gd.basis)
-    if not np.isfinite(sums).all():
-        return None
-    # d/d(log nu) of exp(nu log y) brings down nu log y
-    sums *= np.array([1.0, nu, 1.0, nu * nu, nu, 1.0])
-    sums[:, 3] += sums[:, 1]
-    k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.sum_dtx
-    return sums, nu, k_total
-
-
 def _loglik_derivs(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray):
     """Marginal log-likelihood, score and Hessian at
     p = (log lam, log nu, beta, log tau), or None where it is not finite.
@@ -260,12 +268,10 @@ def _no_frailty_fit(gd: _GroupData):
     the root lies outside the box |log nu| <= log 50.
     """
     treated = gd.tx == 1
-    arm = np.stack((1.0 - gd.tx, gd.tx))
-    events = arm @ gd.delta
     tops = np.array([gd.logy[~treated].max(), gd.logy[treated].max()])
     centred = gd.logy - tops[treated.astype(np.int64)]
     # rows: each arm's indicator times 1, log y - top, (log y - top)^2
-    powers = np.concatenate((arm, arm * centred, arm * centred * centred))
+    powers = np.concatenate((gd.arm, gd.arm * centred, gd.arm * centred * centred))
 
     def arm_moments(s: float):
         # sum(y**nu) / exp(nu * top), and the y**nu-weighted mean and
@@ -277,8 +283,8 @@ def _no_frailty_fit(gd: _GroupData):
 
     def h(s: float):
         nu, _, mean, var = arm_moments(s)
-        value = gd.n_events / nu + gd.sum_dlogy - float(events @ (tops + mean))
-        slope = -gd.n_events / nu - nu * float(events @ var)
+        value = gd.n_events / nu + gd.sum_dlogy - float(gd.events @ (tops + mean))
+        slope = -gd.n_events / nu - nu * float(gd.events @ var)
         return value, slope
 
     lo, hi = -_LOG_NU_MAX, _LOG_NU_MAX
@@ -298,7 +304,7 @@ def _no_frailty_fit(gd: _GroupData):
     else:
         return None
     nu, scaled, _, _ = arm_moments(s)
-    log_rates = np.log(events) - nu * tops - np.log(scaled)
+    log_rates = np.log(gd.events) - nu * tops - np.log(scaled)
     p = np.array([log_rates[0], s, log_rates[1] - log_rates[0]])
     sums, nu, k_total = _hazard_sums(p, gd)
     total = sums.sum(axis=0)
@@ -324,43 +330,30 @@ def _ascent_direction(score: np.ndarray, hess: np.ndarray):
     return direction, float(score @ direction), definite
 
 
-def _failed_fit(log_likelihood: float = -math.inf) -> FrailtyFit:
-    return FrailtyFit(
-        lambda_hat=math.nan,
-        nu_hat=math.nan,
-        beta_hat=math.nan,
-        se_beta=math.nan,
-        tau2_hat=math.nan,
-        p_value=math.nan,
-        converged=False,
-        log_likelihood=log_likelihood,
-    )
-
-
 def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
             value0: float, tau2_score0: float):
     """Damped Newton ascent of the marginal log-likelihood from p.
 
-    Returns ("interior", p, value, hess) at a maximum; ("boundary", ...)
-    when the search heads to tau = 0 and either tau has fallen below 1e-3,
-    or it is below 0.05 and the no-frailty optimum (log-likelihood value0,
-    tau2-score tau2_score0) is a boundary maximum at least as high, where
-    Newton in log tau would only creep down; ("failed", ..., value, ...)
-    when an evaluation is not finite, the line search stalls, the iterate
-    leaves the box or the budget is spent.
+    Returns (boundary, p, value, hess): boundary is False at a maximum, and
+    True when the search heads to tau = 0 and either tau has fallen below
+    1e-3, or it is below 0.05 and the no-frailty optimum (log-likelihood
+    value0, tau2-score tau2_score0) is a boundary maximum at least as high,
+    where Newton in log tau would only creep down. Returns None when an
+    evaluation is not finite, the line search stalls, the iterate leaves
+    the box or the budget is spent.
     """
     current = _loglik_derivs(p, gd, x, logw)
     if current is None:
-        return "failed", p, -math.inf, None
+        return None
     for _ in range(_MAX_NEWTON):
         value, score, hess = current
         if score[3] <= 0 and p[3] < _LOG_TAU_PROBE and (
             p[3] < _LOG_TAU_BOUNDARY or (tau2_score0 <= 0 and value <= value0)
         ):
-            return "boundary", p, value, hess
+            return True, p, value, hess
         direction, decrement, definite = _ascent_direction(score, hess)
         if definite and decrement <= _DECREMENT_TOL:
-            return "interior", p, value, hess
+            return False, p, value, hess
         # within quadrature error of the optimum the value cannot confirm
         # an ascent, so a near-converged Newton step is taken in full
         near = definite and decrement <= _NEAR_DECREMENT
@@ -378,11 +371,11 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
                 break
             step *= 0.5
         else:
-            return "failed", p, value, hess
+            return None
         p, current = trial, nxt
         if abs(p[1]) > _LOG_NU_MAX or p[3] > _LOG_TAU_MAX:
-            break
-    return "failed", p, current[0], current[2]
+            return None
+    return None
 
 
 def fit_frailty(data) -> FrailtyFit:
@@ -395,11 +388,12 @@ def fit_frailty(data) -> FrailtyFit:
     search that heads to tau = 0 ends on the boundary: the fit reports the
     no-frailty optimum with tau2_hat = 0 and that model's information.
     se_beta is the square root of the beta element of the inverse
-    information. The fit is flagged non-converged when either stage leaves
-    the box |log nu| <= log 50, log tau <= log 20, the Newton search
-    stalls or spends its budget of 30 steps, the information matrix yields
-    no positive variance for beta, or the quadrature is not finite or has
-    not stabilized (15- vs 31-point disagreement).
+    information. The fit is flagged non-converged when an arm has no
+    events, either stage leaves the box |log nu| <= log 50,
+    log tau <= log 20, the Newton search stalls or spends its budget of 30
+    steps, the quadrature is not finite or has not stabilized (15- vs
+    31-point disagreement), the information matrix yields no positive
+    variance for beta, or lambda_hat exceeds the float range.
 
     At designs with few events the normal-reference p_value over-rejects:
     nu_hat is biased upward and the observed-information se_beta is too
@@ -409,60 +403,45 @@ def fit_frailty(data) -> FrailtyFit:
     codes, tx, y, status = as_arrays(data)
     if codes.size == 0 or codes.min() == codes.max():
         raise ValueError("fit requires at least 2 distinct lines")
-    events_ctl = float(status[tx == 0].sum())
-    events_tx = float(status[tx == 1].sum())
-    if events_ctl == 0 or events_tx == 0:
-        # no information about the hazard ratio in one arm: never estimate
-        return _failed_fit()
 
     # the helpers set no errstate of their own: log(0) for a zero hazard and
     # overflowing trial iterates end at their finiteness checks
     with np.errstate(all="ignore"):
         gd = _GroupData(codes, tx, y, status)
+        if not gd.events.all():
+            # no information about the hazard ratio in one arm: never estimate
+            return _NOT_CONVERGED
         x, logw = _hermite_nodes(_QUAD_POINTS)
         start = _no_frailty_fit(gd)
         if start is None:
-            return _failed_fit()
+            return _NOT_CONVERGED
         p0, value0, hess0, tau2_score0 = start
 
-        outcome, point, log_likelihood, hess = _newton(
-            np.append(p0, _LOG_TAU_START), gd, x, logw, value0, tau2_score0)
-        if outcome == "failed":
-            return _failed_fit(log_likelihood)
-        if outcome == "boundary":
+        result = _newton(np.append(p0, _LOG_TAU_START), gd, x, logw, value0, tau2_score0)
+        if result is None:
+            return _NOT_CONVERGED
+        boundary, point, log_likelihood, hess = result
+        if boundary:
             tau2_hat, point, log_likelihood, hess = 0.0, p0, value0, hess0
         else:
             tau2_hat = math.exp(2.0 * float(point[3]))
             # quadrature stability at the optimum: refuse fits the node count cannot pin down
             x2, logw2 = _hermite_nodes(2 * _QUAD_POINTS + 1)
             if abs(log_likelihood - _loglik_core(point, gd, x2, logw2)) > _QUAD_TOL:
-                return _failed_fit(log_likelihood)
-        var_beta = _beta_variance(hess, 2)
-        if not var_beta > 0:
-            return _failed_fit(log_likelihood)
+                return _NOT_CONVERGED
+        try:
+            var_beta = float(np.linalg.inv(-hess)[2, 2])
+        except np.linalg.LinAlgError:
+            return _NOT_CONVERGED
+    if not (0 < var_beta < math.inf and point[0] < _LOG_FLOAT_MAX):
+        return _NOT_CONVERGED
 
     beta = float(point[2])
     se = math.sqrt(var_beta)
-    return FrailtyFit(
-        lambda_hat=math.exp(float(point[0])),
-        nu_hat=math.exp(float(point[1])),
-        beta_hat=beta,
-        se_beta=se,
-        tau2_hat=tau2_hat,
-        p_value=2.0 * float(ndtr(-abs(beta / se))),
-        converged=True,
-        log_likelihood=log_likelihood,
-    )
-
-
-def _beta_variance(hess: np.ndarray, index: int) -> float:
-    """(index, index) element of the inverse negative Hessian, or nan."""
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        return math.nan
-    v = float(cov[index, index])
-    return v if math.isfinite(v) else math.nan
+    return FrailtyFit(lambda_hat=math.exp(float(point[0])), nu_hat=math.exp(float(point[1])),
+                      beta_hat=beta, se_beta=se, tau2_hat=tau2_hat,
+                      p_value=2.0 * float(ndtr(-abs(beta / se))), converged=True,
+                      log_likelihood=log_likelihood)
 
 
 def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:

@@ -188,7 +188,6 @@ def read_power_json(path) -> Tuple[PowerTable, List[Tuple[int, int]]]:
     )
     table = PowerTable(
         rows=rows,
-        model=pd["model"],
         params=params,
         sim=pd["sim"],
         alpha=pd["alpha"],

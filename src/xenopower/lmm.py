@@ -52,6 +52,12 @@ class LmmFit:
     log_restricted_likelihood: float
 
 
+# the one value every failing exit of fit_lmm returns
+_NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
+                        tau2_hat=math.nan, sigma2_hat=math.nan, df=math.nan,
+                        p_value=math.nan, converged=False, log_restricted_likelihood=-math.inf)
+
+
 class _Sufficient:
     """Per-line aggregates; everything the profiled criterion needs."""
 
@@ -141,7 +147,6 @@ def fit_lmm(data) -> LmmFit:
 
     st = _Sufficient(codes, tx, np.log(y))
     theta = _balanced_theta(st)
-    converged = True
     if theta is None:
         # only unbalanced data (a pilot with a lost animal) pay for this import
         from scipy.optimize import minimize_scalar
@@ -152,24 +157,14 @@ def fit_lmm(data) -> LmmFit:
             method="bounded",
             options={"xatol": _XATOL},
         )
-        neg2_zero = _profile(0.0, st)[0]
-        converged = bool(res.success) and (math.isfinite(res.fun) or math.isfinite(neg2_zero))
-        theta = math.exp(res.x) if res.fun < neg2_zero else 0.0
+        if not res.success:
+            return _NOT_CONVERGED
+        theta = math.exp(res.x) if res.fun < _profile(0.0, st)[0] else 0.0
         if theta <= _THETA_LO:
             theta = 0.0
     neg2, beta0, beta, sigma2, var_beta = _profile(theta, st)
     if not (math.isfinite(neg2) and var_beta > 0):
-        return LmmFit(
-            beta0_hat=math.nan,
-            beta_hat=math.nan,
-            se_beta=math.nan,
-            tau2_hat=math.nan,
-            sigma2_hat=math.nan,
-            df=float(st.N - st.k - 1),
-            p_value=math.nan,
-            converged=False,
-            log_restricted_likelihood=-math.inf,
-        )
+        return _NOT_CONVERGED
     se = math.sqrt(var_beta)
     df = float(st.N - st.k - 1)
     p = 2.0 * float(stdtr(df, -abs(beta / se)))
@@ -181,7 +176,7 @@ def fit_lmm(data) -> LmmFit:
         sigma2_hat=float(sigma2),
         df=df,
         p_value=p,
-        converged=converged,
+        converged=True,
         log_restricted_likelihood=-0.5 * neg2,
     )
 

@@ -6,6 +6,7 @@ across concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Tuple, Union
@@ -45,9 +46,12 @@ class DesignGrid:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        object.__setattr__(self, "m_values", tuple(self.m_values))
+        validate_grid(self)
+        # numpy integers pass validation; store plain ints
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         object.__setattr__(self, "m_values", tuple(int(v) for v in self.m_values))
-        validate_grid(self)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class AnovaParams:
             raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
         if not self.sigma2 > 0:
             raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
+        _require_finite(self, ("beta0", "beta", "tau2", "sigma2"))
 
     @property
     def icc(self) -> float:
@@ -99,11 +104,19 @@ class FrailtyParams:
             raise ValidationError(f"nu must be positive, got {self.nu}")
         if not self.tau2 >= 0:
             raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
+        _require_finite(self, ("lam", "nu", "beta", "tau2"))
         if self.censor:
-            if self.ct is None or not self.ct > 0:
+            if self.ct is None or not 0 < self.ct < math.inf:
                 raise ValidationError(
-                    f"ct must be a positive censoring time when censor=True, got {self.ct}"
+                    f"ct must be a positive finite censoring time when censor=True, got {self.ct}"
                 )
+
+
+def _require_finite(params, names) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -181,12 +194,11 @@ class PowerRow:
 class PowerTable:
     """Per-(n, m) power estimates plus an echo of the generating setup.
 
-    Rows are ordered by n then m, one row per grid cell. ``model`` is
-    "anova" or "frailty" and ``params`` the matching parameter container.
+    Rows are ordered by n then m, one row per grid cell. ``params`` is the
+    generating model's parameter container, which also names the model.
     """
 
     rows: Tuple[PowerRow, ...]
-    model: str
     params: Union[AnovaParams, FrailtyParams]
     sim: int
     alpha: float
@@ -194,8 +206,6 @@ class PowerTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if self.model not in ("anova", "frailty"):
-            raise ValidationError(f"model must be 'anova' or 'frailty', got {self.model!r}")
         cells = [(r.n, r.m) for r in self.rows]
         if sorted(cells) != cells or len(set(cells)) != len(cells):
             raise ValidationError("rows must be unique and ordered by n then m")
@@ -211,30 +221,32 @@ class PowerTable:
         raise KeyError(f"no cell ({n}, {m}) in table")
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; bools are flags, not counts."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def validate_grid(grid: DesignGrid) -> DesignGrid:
     """Check every DesignGrid invariant, returning the grid unchanged.
 
     Raises ValidationError naming the offending field otherwise. DesignGrid
     calls this at construction, so every DesignGrid already passes it.
     """
-    if not grid.n_values:
-        raise ValidationError("n_values must be nonempty")
-    if not grid.m_values:
-        raise ValidationError("m_values must be nonempty")
-    for v in grid.n_values:
-        if v < 2:
-            raise ValidationError(f"n_values entries must be at least 2, got {v}")
-    for v in grid.m_values:
-        if v < 1:
-            raise ValidationError(f"m_values entries must be at least 1, got {v}")
-    for name, vals in (("n_values", grid.n_values), ("m_values", grid.m_values)):
+    for name, vals, least in (("n_values", grid.n_values, 2), ("m_values", grid.m_values, 1)):
+        if not vals:
+            raise ValidationError(f"{name} must be nonempty")
+        for v in vals:
+            if not _is_integer(v):
+                raise ValidationError(f"{name} entries must be integers, got {v!r}")
+            if v < least:
+                raise ValidationError(f"{name} entries must be at least {least}, got {v}")
         if len(set(vals)) != len(vals):
             raise ValidationError(f"{name} must be duplicate-free")
         if list(vals) != sorted(vals):
             raise ValidationError(f"{name} must be ascending")
     for name in ("sim", "seed"):
         value = getattr(grid, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not _is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     if grid.sim < 1:
         raise ValidationError(f"sim must be at least 1, got {grid.sim}")

@@ -107,6 +107,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["pow-frailty", "--ctl-med", "2.4", "--tx-med", "7.2", "--nu", "1000"],
+        ["pow-frailty", "--ctl-med", "1e-5", "--tx-med", "7.2", "--nu", "100"],
+        ["pow-frailty", "--ctl-med", "2.4", "--tx-med", "7.2", "--tau2", "inf"],
+        ["pow-frailty", "--ctl-med", "inf", "--tx-med", "7.2"],
+        ["pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", "--sigma2", "inf"],
+        ["pow-anova", "--ctl-med", "inf", "--tx-med", "7.2"],
+    ], ids=["nu_1000", "tiny_median_nu_100", "tau2_inf", "frailty_median_inf",
+            "sigma2_inf", "anova_median_inf"])
+    def test_extreme_or_non_finite_parameter_is_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, *FAST)
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_unknown_flag_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", "--bogus"])

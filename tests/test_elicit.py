@@ -37,6 +37,15 @@ class TestAnovaFromMedians:
         with pytest.raises(ValidationError, match="positive"):
             elicit_anova_from_medians(0.0, 7.2)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(ctl_med=float("inf"), tx_med=7.2), "positive and finite"),
+        (dict(ctl_med=2.4, tx_med=float("nan")), "positive and finite"),
+        (dict(ctl_med=2.4, tx_med=7.2, sigma2=float("inf")), "sigma2"),
+    ])
+    def test_non_finite_inputs_rejected(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            elicit_anova_from_medians(**kwargs)
+
     def test_round_trip_medians(self):
         p = elicit_anova_from_medians(2.4, 7.2, icc=0.25, sigma2=0.8)
         assert math.exp(p.beta0) == pytest.approx(2.4, abs=1e-12)
@@ -74,6 +83,18 @@ class TestFrailtyFromMedians:
             elicit_frailty_from_medians(2.4, -1.0)
         with pytest.raises(ValidationError):
             elicit_frailty_from_medians(2.4, 7.2, nu=0.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        # lam = log(2)/2.4**1000 underflows; 1e-5**100 underflows to 0
+        (dict(ctl_med=2.4, tx_med=7.2, nu=1000.0), "outside the float range"),
+        (dict(ctl_med=1e-5, tx_med=7.2, nu=100.0), "outside the float range"),
+        (dict(ctl_med=float("inf"), tx_med=7.2), "positive and finite"),
+        (dict(ctl_med=2.4, tx_med=7.2, nu=float("inf")), "nu"),
+        (dict(ctl_med=2.4, tx_med=7.2, tau2=float("inf")), "tau2 must be finite"),
+    ])
+    def test_extreme_or_non_finite_inputs_rejected(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            elicit_frailty_from_medians(**kwargs)
 
     def test_censoring_plan_carried(self):
         p = elicit_frailty_from_medians(2.4, 7.2, censor=True, ct=12.0)

@@ -44,7 +44,7 @@ def table_from_powers(powers_by_n, m_values=range(2, 9)) -> PowerTable:
         for n, row in sorted(powers_by_n.items())
         for m, p in zip(m_values, row)
     )
-    return PowerTable(rows=rows, model="anova", params=ANOVA_PILOT, sim=500,
+    return PowerTable(rows=rows, params=ANOVA_PILOT, sim=500,
                       alpha=0.05, seed=1)
 
 

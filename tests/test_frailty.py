@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy.integrate import trapezoid
 from scipy.optimize import minimize
 from scipy.special import ndtr, wrightomega
 
@@ -41,7 +42,7 @@ def trapezoid_loglik(lam, nu, beta, tau2, line_index, tx, y, status, n_points=20
             + grid * float(di.sum())
             - float(np.sum(lam * yi**nu * np.exp(ei))) * np.exp(grid)
         )
-        total += math.log(np.trapezoid(np.exp(log_f), grid))
+        total += math.log(trapezoid(np.exp(log_f), grid))
     return total
 
 
@@ -310,6 +311,30 @@ class TestFit:
             warnings.simplefilter("error")
             fit = fit_frailty(ds)
         assert not fit.converged
+
+    def test_rate_beyond_float_range_is_not_converged(self):
+        # times near 1e-150 put lambda_hat near 1e379, past the float range;
+        # building the fit used to raise OverflowError from math.exp
+        params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                               censor=True, ct=4.0)
+        ds = gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 3))
+        tiny = SimulatedDataset(line_index=ds.line_index, tx=ds.tx, y=ds.y * 1e-150,
+                                status=ds.status)
+        fit = fit_frailty(tiny)
+        assert not fit.converged
+        assert math.isnan(fit.lambda_hat)
+
+    def test_failed_search_carries_no_search_value(self):
+        # a diverging search returns the same non-converged fit as every
+        # other failure: all estimates nan and the log-likelihood -inf
+        params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
+                               censor=True, ct=4.0)
+        fit = fit_frailty(gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 1)))
+        assert not fit.converged
+        estimates = (fit.lambda_hat, fit.nu_hat, fit.beta_hat, fit.se_beta, fit.tau2_hat,
+                     fit.p_value)
+        assert all(math.isnan(v) for v in estimates)
+        assert fit.log_likelihood == -math.inf
 
     def test_extreme_parameters_evaluate_without_numpy_warnings(self):
         # a hazard underflowing to 0 gives every line mode d*tau2 and the

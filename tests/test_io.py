@@ -87,7 +87,7 @@ def sample_table(model="frailty"):
         PowerRow(n=3, m=2, total_animals=12, power=100 / 3, convergence=100.0, censoring=cens[0]),
         PowerRow(n=3, m=3, total_animals=18, power=200 / 3, convergence=99.0, censoring=cens[1]),
     )
-    return PowerTable(rows=rows, model=model, params=params, sim=500, alpha=0.05, seed=987654321)
+    return PowerTable(rows=rows, params=params, sim=500, alpha=0.05, seed=987654321)
 
 
 class TestPowerCsv:

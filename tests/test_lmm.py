@@ -155,6 +155,24 @@ class TestBalancedClosedForm:
         assert not fast.converged
         assert not slow.converged
 
+    def test_failed_search_returns_the_non_converged_fit(self, monkeypatch, pilot_lognormal):
+        # a search that reports failure carries no estimates, as a
+        # non-finite profile does
+        real = scipy.optimize.minimize_scalar
+
+        def failing(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", failing)
+        fit = search_fit(monkeypatch, pilot_lognormal)
+        assert not fit.converged
+        estimates = (fit.beta0_hat, fit.beta_hat, fit.se_beta, fit.tau2_hat, fit.sigma2_hat,
+                     fit.df, fit.p_value)
+        assert all(math.isnan(v) for v in estimates)
+        assert fit.log_restricted_likelihood == -math.inf
+
     def test_variance_ratio_above_range_is_clamped(self, monkeypatch):
         noise = 1e-3 * np.random.default_rng(5).standard_normal(24)
         ds = balanced_design(4, 3, lambda line, tx: 50.0 * line + 0.7 * tx + noise)

@@ -23,7 +23,7 @@ def grid_table(n_values=range(3, 11), m_values=range(2, 9)) -> PowerTable:
         for m in m_values
     )
     params = AnovaParams(beta0=0.0, beta=0.8, tau2=0.1, sigma2=1.0)
-    return PowerTable(rows=rows, model="anova", params=params, sim=500, alpha=0.05, seed=1)
+    return PowerTable(rows=rows, params=params, sim=500, alpha=0.05, seed=1)
 
 
 class TestRendering:
@@ -70,7 +70,7 @@ class TestRendering:
 class TestValidation:
     def test_empty_table_rejected(self):
         params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
-        table = PowerTable(rows=(), model="anova", params=params, sim=1, alpha=0.05, seed=1)
+        table = PowerTable(rows=(), params=params, sim=1, alpha=0.05, seed=1)
         with pytest.raises(ValidationError, match="empty"):
             render_power_plot(table, 0.8, (0.0, 1.0))
 

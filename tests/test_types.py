@@ -73,6 +73,20 @@ class TestDesignGrid:
         grid = make_grid(sim=np.int64(4), seed=np.uint64(2**63))
         assert validate_grid(grid) is grid
 
+    @pytest.mark.parametrize("field, values", [
+        ("n_values", (2.5, 3.9)), ("m_values", (1.7,)), ("n_values", (3, 4.0)),
+        ("m_values", (True, 2)),
+    ])
+    def test_non_integer_grid_entries_rejected(self, field, values):
+        # int() used to truncate these: (2.5, 3.9) became (2, 3)
+        with pytest.raises(ValidationError, match=f"{field} entries must be integers"):
+            make_grid(**{field: values})
+
+    def test_numpy_integer_and_range_entries_accepted(self):
+        grid = make_grid(n_values=np.arange(3, 6), m_values=range(1, 3))
+        assert grid.n_values == (3, 4, 5) and grid.m_values == (1, 2)
+        assert all(type(v) is int for v in grid.n_values + grid.m_values)
+
 
 class TestAnovaParams:
     def test_icc_exact(self):
@@ -90,6 +104,16 @@ class TestAnovaParams:
         with pytest.raises(ValidationError, match="sigma2"):
             AnovaParams(beta0=0.0, beta=0.0, tau2=0.1, sigma2=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta0", float("nan")), ("beta", float("-inf")), ("tau2", float("inf")),
+        ("sigma2", float("inf")),
+    ])
+    def test_non_finite_fields_rejected(self, field, value):
+        kwargs = dict(beta0=0.0, beta=0.0, tau2=0.1, sigma2=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            AnovaParams(**kwargs)
+
 
 class TestFrailtyParams:
     def test_valid(self):
@@ -106,6 +130,20 @@ class TestFrailtyParams:
         kwargs[field] = value
         with pytest.raises(ValidationError):
             FrailtyParams(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", float("inf")), ("nu", float("inf")), ("beta", float("nan")),
+        ("tau2", float("inf")),
+    ])
+    def test_non_finite_fields_rejected(self, field, value):
+        kwargs = dict(lam=0.3, nu=1.0, beta=0.0, tau2=0.2)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            FrailtyParams(**kwargs)
+
+    def test_infinite_censoring_time_rejected(self):
+        with pytest.raises(ValidationError, match="ct must be a positive finite"):
+            FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=True, ct=float("inf"))
 
 
 class TestPilotDataset:
@@ -152,12 +190,18 @@ class TestPowerTable:
         )
         params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
         with pytest.raises(ValidationError, match="ordered"):
-            PowerTable(rows=rows, model="anova", params=params, sim=10, alpha=0.05, seed=1)
+            PowerTable(rows=rows, params=params, sim=10, alpha=0.05, seed=1)
 
     def test_cell_lookup(self):
         rows = (PowerRow(n=3, m=2, total_animals=12, power=50.0, convergence=100.0),)
         params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
-        table = PowerTable(rows=rows, model="anova", params=params, sim=10, alpha=0.05, seed=1)
+        table = PowerTable(rows=rows, params=params, sim=10, alpha=0.05, seed=1)
         assert table.cell(3, 2).power == 50.0
         with pytest.raises(KeyError):
             table.cell(4, 2)
+
+    def test_params_alone_name_the_model(self):
+        # a separate model label could contradict the params it came with
+        params = FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2)
+        with pytest.raises(TypeError, match="model"):
+            PowerTable(rows=(), model="anova", params=params, sim=10, alpha=0.05, seed=1)
