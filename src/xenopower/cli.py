@@ -8,13 +8,15 @@ of obtaining parameters (assumed medians vs. a pilot-data fit):
     xenopower pow-anova-data    --data pilot.csv
     xenopower pow-frailty-data  --data pilot.csv [--censor-time]
 
-Exit codes: 2 flag validation, 3 data-file errors, 4 engine failure or
-interrupted.
+Exit codes: 2 flag validation, 3 data-file errors (a pilot that cannot be
+read or fitted, or an output that cannot be written), 4 engine failure or
+interrupted. ``main`` alone maps errors to these codes, by where they arose.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -38,6 +40,11 @@ _ENV_THREADS = "XENOPOWER_THREADS"
 EXIT_FLAGS = 2
 EXIT_DATA = 3
 EXIT_ENGINE = 4
+
+
+class _DataError(Exception):
+    """A problem with a user-supplied file: the pilot read or fit, or an
+    output write."""
 
 
 def _parse_values(text: str, flag: str) -> Tuple[int, ...]:
@@ -120,14 +127,6 @@ def _resolve_workers(args) -> object:
     return "auto"
 
 
-def _fmt_param(v) -> str:
-    if isinstance(v, bool) or v is None:
-        return str(v)
-    if isinstance(v, float):
-        return format(v, ".7g")
-    return str(v)
-
-
 def _print_header(out, model, sim, alpha, seed, source: Optional[str]) -> None:
     if isinstance(model, AnovaParams):
         out.write("model: mixed ANOVA (log-normal outcome)\n")
@@ -147,8 +146,8 @@ def _print_header(out, model, sim, alpha, seed, source: Optional[str]) -> None:
     if source:
         out.write(f"parameters estimated from pilot data: {source}\n")
     for label, value in names:
-        out.write(f"  {label}: {_fmt_param(value)}\n")
-    out.write(f"alpha: {_fmt_param(alpha)}   sim: {sim}   seed: {seed}\n\n")
+        out.write(f"  {label}: {value:.7g}\n")
+    out.write(f"alpha: {alpha:.7g}   sim: {sim}   seed: {seed}\n\n")
 
 
 def _print_table(out, table) -> None:
@@ -188,80 +187,22 @@ def _progress_printer():
     return cb
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+def _fit_pilot(command: str, path: str):
+    """Read the pilot file and fit the command's model to it. Whatever goes
+    wrong here, from a missing file to a pilot the fitter rejects or cannot
+    fit, is a problem with that file."""
     try:
-        grid = DesignGrid(
-            n_values=_parse_values(args.n, "--n"),
-            m_values=_parse_values(args.m, "--m"),
-            sim=args.sim,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
-        workers = _resolve_workers(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
+        pilot = read_pilot_csv(path)
+        if command == "pow-anova-data":
+            return elicit_anova_from_pilot(pilot)
+        return elicit_frailty_from_pilot(pilot)
+    except OSError as exc:
+        raise _DataError(f"cannot read data file {path!r}: {exc}") from exc
+    except Exception as exc:
+        raise _DataError(f"bad data file {path!r}: {exc}") from exc
 
-    source = None
-    try:
-        if args.command == "pow-anova":
-            model = elicit_anova_from_medians(args.ctl_med, args.tx_med, args.icc, args.sigma2)
-        elif args.command == "pow-frailty":
-            censor = args.censor_time is not None
-            model = elicit_frailty_from_medians(
-                args.ctl_med, args.tx_med, args.nu, args.tau2,
-                censor=censor, ct=args.censor_time,
-            )
-        elif args.command == "pow-anova-data":
-            pilot = _load_pilot(args.data)
-            model = elicit_anova_from_pilot(pilot)
-            source = args.data
-        else:
-            pilot = _load_pilot(args.data)
-            censor = args.censor_time is not None
-            model = elicit_frailty_from_pilot(pilot, censor=censor, ct=args.censor_time)
-            source = args.data
-    except _DataError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_DATA
-    except ValidationError as exc:
-        # parameter-level validation of flag values (e.g. icc >= 1)
-        code = EXIT_DATA if args.command.endswith("-data") else EXIT_FLAGS
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
 
-    try:
-        job = PowerJob(grid=grid, model=model, target_power=args.target_power,
-                       worker_count=workers)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
-
-    try:
-        table = run_power_grid(job, progress=_progress_printer())
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except BrokenProcessPool:
-        print("error: a worker process died (for example, killed for lack of memory); "
-              "rerun with fewer --threads", file=sys.stderr)
-        return EXIT_ENGINE
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_ENGINE
-
-    frontier = minimal_designs(table, args.target_power)
-
-    _print_header(sys.stdout, model, grid.sim, grid.alpha, grid.seed, source)
-    _print_table(sys.stdout, table)
-    _print_frontier(sys.stdout, frontier, args.target_power)
-
+def _write_outputs(args, table, frontier) -> None:
     try:
         if args.out_csv:
             write_power_csv(table, args.out_csv)
@@ -272,22 +213,58 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.plot, "w", encoding="utf-8") as fh:
                 fh.write(svg)
     except OSError as exc:
-        print(f"error: could not write output file: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    return 0
+        raise _DataError(f"could not write output file: {exc}") from exc
 
 
-class _DataError(Exception):
-    """Internal marker wrapping problems with a user-supplied data file."""
+def _run(args) -> None:
+    """Validate the flags, obtain the model, run the grid, and report."""
+    grid = DesignGrid(
+        n_values=_parse_values(args.n, "--n"),
+        m_values=_parse_values(args.m, "--m"),
+        sim=args.sim,
+        alpha=args.alpha,
+        seed=args.seed,
+    )
+    workers = _resolve_workers(args)
+    source = getattr(args, "data", None)
+    if args.command == "pow-anova":
+        model = elicit_anova_from_medians(args.ctl_med, args.tx_med, args.icc, args.sigma2)
+    elif args.command == "pow-frailty":
+        model = elicit_frailty_from_medians(args.ctl_med, args.tx_med, args.nu, args.tau2)
+    else:
+        model = _fit_pilot(args.command, source)
+    # the censoring plan is the user's, not the pilot's; FrailtyParams checks ct
+    if getattr(args, "censor_time", None) is not None:
+        model = dataclasses.replace(model, censor=True, ct=args.censor_time)
+    job = PowerJob(grid=grid, model=model, target_power=args.target_power,
+                   worker_count=workers)
+    table = run_power_grid(job, progress=_progress_printer())
+    frontier = minimal_designs(table, args.target_power)
+
+    _print_header(sys.stdout, model, grid.sim, grid.alpha, grid.seed, source)
+    _print_table(sys.stdout, table)
+    _print_frontier(sys.stdout, frontier, args.target_power)
+    _write_outputs(args, table, frontier)
 
 
-def _load_pilot(path: str):
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        return read_pilot_csv(path)
-    except OSError as exc:
-        raise _DataError(f"cannot read data file {path!r}: {exc}") from exc
+        _run(args)
+        return 0
     except ValidationError as exc:
-        raise _DataError(f"bad data file {path!r}: {exc}") from exc
+        code, message = EXIT_FLAGS, str(exc)
+    except _DataError as exc:
+        code, message = EXIT_DATA, str(exc)
+    except EngineError as exc:
+        code, message = EXIT_ENGINE, str(exc)
+    except BrokenProcessPool:
+        code, message = EXIT_ENGINE, ("a worker process died (for example, killed for lack "
+                                      "of memory); rerun with fewer --threads")
+    except KeyboardInterrupt:
+        code, message = EXIT_ENGINE, "interrupted"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

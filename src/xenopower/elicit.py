@@ -10,10 +10,9 @@ aligned with the fitted-model reports.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Optional
 
-from .frailty import fit_frailty
+from .frailty import _LOG_FLOAT_MAX, _LOG_FLOAT_MIN, fit_frailty
 from .lmm import fit_lmm
 from .types import AnovaParams, FrailtyParams, PilotDataset, ValidationError
 
@@ -23,9 +22,6 @@ __all__ = [
     "elicit_frailty_from_pilot",
     "elicit_frailty_from_medians",
 ]
-
-_LOG_FLOAT_MIN = math.log(sys.float_info.min)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_medians(ctl_med: float, tx_med: float) -> None:

@@ -42,6 +42,8 @@ __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
 _TAU_FLOOR = 1e-5
 _LOG_TAU_FLOOR = math.log(_TAU_FLOOR)
 _LOG_PI = math.log(math.pi)
+# log bounds of the normal float range, inside which every rate lam must lie
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _QUAD_TOL = 1e-4
 _QUAD_POINTS = 15
@@ -393,7 +395,7 @@ def fit_frailty(data) -> FrailtyFit:
     log tau <= log 20, the Newton search stalls or spends its budget of 30
     steps, the quadrature is not finite or has not stabilized (15- vs
     31-point disagreement), the information matrix yields no positive
-    variance for beta, or lambda_hat exceeds the float range.
+    variance for beta, or lambda_hat falls outside the normal float range.
 
     At designs with few events the normal-reference p_value over-rejects:
     nu_hat is biased upward and the observed-information se_beta is too
@@ -433,7 +435,7 @@ def fit_frailty(data) -> FrailtyFit:
             var_beta = float(np.linalg.inv(-hess)[2, 2])
         except np.linalg.LinAlgError:
             return _NOT_CONVERGED
-    if not (0 < var_beta < math.inf and point[0] < _LOG_FLOAT_MAX):
+    if not (0 < var_beta < math.inf and _LOG_FLOAT_MIN < point[0] < _LOG_FLOAT_MAX):
         return _NOT_CONVERGED
 
     beta = float(point[2])

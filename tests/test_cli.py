@@ -17,6 +17,8 @@ def run_cli(capsys, *argv):
 
 
 FAST = ["--n", "3:4", "--m", "1:2", "--sim", "8", "--seed", "3", "--threads", "1"]
+MEDIANS = ["pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2"]
+PILOT = ["pow-anova-data", "--data", str(pilot_path("uncensored"))]
 
 
 class TestDefaults:
@@ -87,6 +89,33 @@ class TestExitCodes:
         assert code == 3
         assert "censored" in err
 
+    def test_unfittable_pilot_is_3(self, capsys, tmp_path):
+        # the pilot reads cleanly, but the model cannot be fitted to two rows
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("ID,Y,Tx\nA,1.0,0\nB,2.0,1\n")
+        code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(tiny), *FAST)
+        assert code == 3
+        assert "at least 3 observations" in err
+        assert out == ""
+
+    def test_bad_censor_time_on_pilot_path_is_2(self, capsys):
+        path = str(pilot_path("censored"))
+        code, out, err = run_cli(
+            capsys, "pow-frailty-data", "--data", path, "--censor-time", "-1", *FAST,
+        )
+        assert code == 2
+        assert "ct must be a positive finite censoring time" in err
+        assert out == ""
+
+    def test_pool_os_error_is_not_an_output_error(self, monkeypatch):
+        # only writing an output turns an OSError into exit code 3
+        def crash(job, progress=None):
+            raise OSError("cannot start a worker")
+
+        monkeypatch.setattr("xenopower.cli.run_power_grid", crash)
+        with pytest.raises(OSError, match="cannot start a worker"):
+            main([*MEDIANS, *FAST])
+
     def test_bad_range_flag_is_2(self, capsys):
         code, _, err = run_cli(
             capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", "--n", "3:x",
@@ -135,19 +164,21 @@ class TestExitCodes:
         assert code == 4
         assert "converged" in err
 
-    @pytest.mark.parametrize("exc, message", [
-        pytest.param(BrokenProcessPool("a child process terminated abruptly"),
+    @pytest.mark.parametrize("target, argv, exc, message", [
+        pytest.param("run_power_grid", MEDIANS,
+                     BrokenProcessPool("a child process terminated abruptly"),
                      "error: a worker process died", id="broken_pool"),
-        pytest.param(KeyboardInterrupt(), "error: interrupted", id="interrupt"),
+        pytest.param("run_power_grid", MEDIANS, KeyboardInterrupt(), "error: interrupted",
+                     id="interrupt"),
+        pytest.param("read_pilot_csv", PILOT, KeyboardInterrupt(), "error: interrupted",
+                     id="interrupt_during_pilot_read"),
     ])
-    def test_dead_worker_is_4(self, capsys, monkeypatch, exc, message):
-        def crash(job, progress=None):
+    def test_dead_worker_is_4(self, capsys, monkeypatch, target, argv, exc, message):
+        def crash(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr("xenopower.cli.run_power_grid", crash)
-        code, out, err = run_cli(
-            capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", *FAST,
-        )
+        monkeypatch.setattr(f"xenopower.cli.{target}", crash)
+        code, out, err = run_cli(capsys, *argv, *FAST)
         assert code == 4
         assert message in err
         assert "Traceback" not in err

@@ -313,16 +313,18 @@ class TestFit:
         assert not fit.converged
 
     def test_rate_beyond_float_range_is_not_converged(self):
-        # times near 1e-150 put lambda_hat near 1e379, past the float range;
-        # building the fit used to raise OverflowError from math.exp
+        # times near 1e-150 put lambda_hat near 1e379, past the float range,
+        # and times near 1e150 put it below the smallest normal float, where
+        # it would underflow to 0: neither is a usable fit
         params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=4.0)
         ds = gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 3))
-        tiny = SimulatedDataset(line_index=ds.line_index, tx=ds.tx, y=ds.y * 1e-150,
-                                status=ds.status)
-        fit = fit_frailty(tiny)
-        assert not fit.converged
-        assert math.isnan(fit.lambda_hat)
+        for scale in (1e-150, 1e150):
+            scaled = SimulatedDataset(line_index=ds.line_index, tx=ds.tx, y=ds.y * scale,
+                                      status=ds.status)
+            fit = fit_frailty(scaled)
+            assert not fit.converged
+            assert math.isnan(fit.lambda_hat)
 
     def test_failed_search_carries_no_search_value(self):
         # a diverging search returns the same non-converged fit as every
