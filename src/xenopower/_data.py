@@ -12,15 +12,16 @@ def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Return (line_codes, tx, y, status) with line codes 0..k-1.
 
     Accepts a SimulatedDataset or a PilotDataset; pilot line ids are coded
-    in order of first appearance.
+    in order of first appearance. A dataset array that already has the
+    right dtype is returned uncopied, so callers must not write to them.
     """
     if isinstance(data, SimulatedDataset):
-        codes = data.line_index.astype(np.int64) - int(data.line_index.min())
+        codes = data.line_index.astype(np.int64, copy=False) - int(data.line_index.min())
         return (
             codes,
-            data.tx.astype(np.float64),
-            data.y.astype(np.float64),
-            data.status.astype(np.float64),
+            data.tx.astype(np.float64, copy=False),
+            data.y.astype(np.float64, copy=False),
+            data.status.astype(np.float64, copy=False),
         )
     if isinstance(data, PilotDataset):
         order = {lid: k for k, lid in enumerate(data.line_ids())}

@@ -78,17 +78,19 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     rejected."""
     model, n, m, alpha, seed, r_start, r_stop = task
     # looked up at call time so the layer functions can be swapped on the module
-    if isinstance(model, AnovaParams):
-        gen, fit, test = gen_anova, fit_lmm, wald_test_lmm
-    else:
+    is_frailty = isinstance(model, FrailtyParams)
+    if is_frailty:
         gen, fit, test = gen_frailty, fit_frailty, wald_test_frailty
+    else:
+        gen, fit, test = gen_anova, fit_lmm, wald_test_lmm
     count = r_stop - r_start
     rejected = np.zeros(count, dtype=bool)
     converged = np.zeros(count, dtype=bool)
     censoring = np.zeros(count, dtype=np.float64)
     for i, r in enumerate(range(r_start, r_stop)):
         data = gen(n, m, model, replicate_stream(seed, n, m, r))
-        censoring[i] = data.censoring_fraction
+        if is_frailty:  # uncensored data have none, and no row reports it
+            censoring[i] = data.censoring_fraction
         try:
             result = fit(data)
         except (ValueError, FloatingPointError, np.linalg.LinAlgError):

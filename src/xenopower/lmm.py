@@ -11,9 +11,14 @@ to the single parameter theta. Under balance (every line with the same
 number of animals, half of them treated) the treatment contrast is
 orthogonal to the lines and the REML theta is the ANOVA mean-squares
 estimate (Searle, Casella & McCulloch, Variance Components, 1992, ch. 4),
-so simulated designs get it in closed form. Unbalanced data, such as a
-pilot with a lost animal, get a bounded one-dimensional search over
-log theta, with the boundary theta = 0 always evaluated as a candidate.
+so simulated designs get it in closed form. Every line then has the same
+weight in the profile, so a balanced fit needs only the line and arm
+counts and five running sums (sum log y, sum (log y)^2, sum tx*log y,
+sum tx^2 and the sum of squared line totals of log y), then scalar
+arithmetic. Unbalanced data, such as a pilot with a lost animal, get the
+general per-line profile and a bounded one-dimensional search over
+log theta, with the boundary theta = 0 always evaluated as a candidate;
+that path is also the reference the balanced one is tested against.
 Either way tau2_hat = 0 is a legal estimate.
 """
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import stdtr
@@ -89,42 +95,86 @@ def _profile(theta: float, st: _Sufficient):
     b0 = st.Sy - float(ci @ (st.ni * st.sy))
     b1 = st.Sxy - float(ci @ (st.sx * st.sy))
     ytwy = st.Syy - float(ci @ (st.sy * st.sy))
+    logdet_v0 = float(np.sum(np.log1p(theta * st.ni)))
+    return _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, st.N, st.Syy)
+
+
+def _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, Syy):
+    """The profiled criterion from the V0-weighted cross-products of
+    X = [1, tx] and log y (a = X'WX, b = X'Wy, ytwy = y'Wy with
+    W = V0^-1), as _profile returns it."""
     det = a00 * a11 - a01 * a01
     if not det > 0:
         return math.inf, math.nan, math.nan, math.nan, math.nan
     beta0 = (a11 * b0 - a01 * b1) / det
     beta = (a00 * b1 - a01 * b0) / det
     rss = ytwy - (b0 * beta0 + b1 * beta)
-    dof = st.N - 2
+    dof = N - 2
     sigma2 = rss / dof
     # a residual within rounding of the sums is an exact fit, sigma2 = 0
-    if not rss > st.N * _EPS * st.Syy or not math.isfinite(sigma2):
+    if not rss > N * _EPS * Syy or not math.isfinite(sigma2):
         return math.inf, math.nan, math.nan, math.nan, math.nan
-    logdet_v0 = float(np.sum(np.log1p(theta * st.ni)))
     neg2ll = dof * (math.log(2.0 * math.pi * sigma2) + 1.0) + logdet_v0 + math.log(det)
     var_beta = sigma2 * a00 / det
     return neg2ll, beta0, beta, sigma2, var_beta
 
 
-def _balanced_theta(st: _Sufficient):
-    """REML variance ratio from the ANOVA mean squares of a balanced
-    design, clamped to the search's range; None when the design is not
-    balanced.
-    """
-    if not (np.all(st.ni == st.ni[0]) and np.all(2.0 * st.sx == st.ni)):
+class _Balanced(NamedTuple):
+    """The running sums of a balanced design: k lines of J animals each,
+    tx summing to J/2 in every line (half of each line treated)."""
+
+    N: int
+    k: int
+    J: int
+    Sy: float
+    Syy: float
+    Sxy: float
+    Sxx: float
+    Q: float  # sum over lines of the squared line total of log y
+
+
+def _balanced_sums(codes: np.ndarray, tx: np.ndarray, logy: np.ndarray, ni: np.ndarray):
+    """The sums of a balanced design, or None when the design is not
+    balanced. ``ni`` holds the line sizes."""
+    sizes = ni.tolist()
+    k, J = len(sizes), sizes[0]
+    if sizes.count(J) != k or np.bincount(codes, weights=tx).tolist().count(J / 2) != k:
         return None
-    J = float(st.ni[0])
-    ssl = float(st.sy @ st.sy) / J
+    sy = np.bincount(codes, weights=logy)
+    return _Balanced(N=logy.size, k=k, J=J, Sy=float(logy.sum()), Syy=float(logy @ logy),
+                     Sxy=float(tx @ logy), Sxx=float(tx @ tx), Q=float(sy @ sy))
+
+
+def _mean_squares_theta(b: _Balanced) -> float:
+    """REML variance ratio from the ANOVA mean squares, clamped to the
+    search's range."""
+    ssl = b.Q / b.J
     # within-line spread of tx around its line mean of 1/2 (N/4 for 0/1 coding)
-    sxx_w = st.Sxx - st.N / 4.0
-    msw = (st.Syy - ssl - (st.Sxy - st.Sy / 2.0) ** 2 / sxx_w) / (st.N - st.k - 1)
-    msb = (ssl - st.Sy * st.Sy / st.N) / (st.k - 1)
+    sxx_w = b.Sxx - b.N / 4.0
+    msw = (b.Syy - ssl - (b.Sxy - b.Sy / 2.0) ** 2 / sxx_w) / (b.N - b.k - 1)
+    msb = (ssl - b.Sy * b.Sy / b.N) / (b.k - 1)
     if not msw > 0:
         return _THETA_HI
-    theta = (msb - msw) / (J * msw)
+    theta = (msb - msw) / (b.J * msw)
     if theta <= _THETA_LO:
         return 0.0
     return min(theta, _THETA_HI)
+
+
+def _balanced_profile(theta: float, b: _Balanced):
+    """_profile for a balanced design. Every line has the same weight
+    c = theta/(1 + theta*J), so each per-line dot product of _profile is
+    c times a running sum."""
+    c = theta / (1.0 + theta * b.J)
+    cJ = c * b.J
+    a00 = b.N * (1.0 - cJ)
+    a01 = 0.5 * a00
+    a11 = b.Sxx - cJ * b.N / 4.0
+    b0 = b.Sy * (1.0 - cJ)
+    b1 = b.Sxy - cJ * b.Sy / 2.0
+    ytwy = b.Syy - c * b.Q
+    logdet_v0 = b.k * math.log1p(theta * b.J)
+    return _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, b.N, b.Syy)
 
 
 def fit_lmm(data) -> LmmFit:
@@ -136,18 +186,23 @@ def fit_lmm(data) -> LmmFit:
     distribution with df = N - lines - 1.
     """
     codes, tx, y, _status = as_arrays(data)
-    if codes.size == 0 or codes.min() == codes.max():
+    ni = np.bincount(codes)  # line sizes; the codes run 0..k-1
+    if ni.size < 2:
         raise ValueError("fit requires at least 2 distinct lines")
     if y.size < 3:
         raise ValueError("fit requires at least 3 observations")
-    if np.any(y <= 0):
+    if (y <= 0).any():
         raise ValueError("all outcomes must be positive")
     if tx.min() == tx.max():
         raise ValueError("both treatment arms must be present")
 
-    st = _Sufficient(codes, tx, np.log(y))
-    theta = _balanced_theta(st)
-    if theta is None:
+    logy = np.log(y)
+    sums = _balanced_sums(codes, tx, logy, ni)
+    if sums is not None:
+        theta = _mean_squares_theta(sums)
+        neg2, beta0, beta, sigma2, var_beta = _balanced_profile(theta, sums)
+    else:
+        st = _Sufficient(codes, tx, logy)
         # only unbalanced data (a pilot with a lost animal) pay for this import
         from scipy.optimize import minimize_scalar
 
@@ -162,11 +217,11 @@ def fit_lmm(data) -> LmmFit:
         theta = math.exp(res.x) if res.fun < _profile(0.0, st)[0] else 0.0
         if theta <= _THETA_LO:
             theta = 0.0
-    neg2, beta0, beta, sigma2, var_beta = _profile(theta, st)
+        neg2, beta0, beta, sigma2, var_beta = _profile(theta, st)
     if not (math.isfinite(neg2) and var_beta > 0):
         return _NOT_CONVERGED
     se = math.sqrt(var_beta)
-    df = float(st.N - st.k - 1)
+    df = float(y.size - ni.size - 1)
     p = 2.0 * float(stdtr(df, -abs(beta / se)))
     return LmmFit(
         beta0_hat=float(beta0),

@@ -134,7 +134,8 @@ class PilotDataset:
     """A pilot dataset of animals with line id, outcome, arm, and an
     optional event indicator (1 = event observed, 0 = censored).
 
-    Line identifiers are opaque strings compared by equality.
+    Every Y must be positive and finite. Line identifiers are opaque
+    strings compared by equality.
     """
 
     rows: Tuple[PilotRecord, ...]
@@ -144,8 +145,8 @@ class PilotDataset:
         if not self.rows:
             raise ValidationError("pilot dataset has no data rows")
         for k, r in enumerate(self.rows, start=1):
-            if not r.y > 0:
-                raise ValidationError(f"Y must be positive at row {k} (got {r.y})")
+            if not 0 < r.y < math.inf:
+                raise ValidationError(f"Y must be positive and finite at row {k} (got {r.y})")
             if r.tx not in (0, 1):
                 raise ValidationError(f"Tx must be 0 or 1 at row {k} (got {r.tx})")
             if r.status is not None and r.status not in (0, 1):

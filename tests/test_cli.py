@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -96,6 +97,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(tiny), *FAST)
         assert code == 3
         assert "at least 3 observations" in err
+        assert out == ""
+
+    def test_infinite_pilot_outcome_is_3(self, capsys, tmp_path):
+        # rejected as the pilot is read, before any fit warns about it
+        lines = pilot_path("uncensored").read_text().splitlines()
+        first = lines[1].split(",")
+        first[lines[0].split(",").index("Y")] = "inf"
+        lines[1] = ",".join(first)
+        data = tmp_path / "inf.csv"
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(data), *FAST)
+        assert code == 3
+        assert "Y must be positive and finite at row 1" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert out == ""
 
     def test_bad_censor_time_on_pilot_path_is_2(self, capsys):

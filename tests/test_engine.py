@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xenopower.datagen import gen_anova, gen_frailty, replicate_stream
+from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
 from xenopower.engine import EngineError, PowerJob, minimal_designs, run_power_grid
 from xenopower.frailty import fit_frailty, wald_test_frailty
 from xenopower.io import power_csv_text, power_json_dict
@@ -128,6 +128,17 @@ class TestReplicatePipeline:
             assert row.censoring is None
         else:
             assert row.censoring == float(100.0 * np.mean(censoring))
+
+    def test_anova_chunk_never_reads_censoring(self, monkeypatch):
+        # uncensored data have no censoring to average, and no row reports it
+        def unread(data):
+            raise AssertionError("an ANOVA chunk read censoring_fraction")
+
+        monkeypatch.setattr(SimulatedDataset, "censoring_fraction", property(unread))
+        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=8, seed=77)
+        row = run_power_grid(PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=1)).rows[0]
+        assert row.convergence == 100.0
+        assert row.censoring is None
 
 
 class TestProgress:

@@ -64,7 +64,7 @@ class TestReadPilotCsv:
     def test_invariant_violation_names_row(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("ID,Y,Tx\n1,1.0,0\n1,2.0,1\n2,-3.0,0\n2,1.0,1\n")
-        with pytest.raises(ValidationError, match="Y must be positive at row 3"):
+        with pytest.raises(ValidationError, match="Y must be positive and finite at row 3"):
             read_pilot_csv(path)
 
     def test_nonbinary_tx_rejected(self, tmp_path):

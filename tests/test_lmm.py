@@ -105,13 +105,13 @@ class TestAgainstOracles:
 def search_fit(monkeypatch, data):
     """Oracle: the bounded search fit, with the closed form switched off."""
     with monkeypatch.context() as mp:
-        mp.setattr(lmm, "_balanced_theta", lambda st: None)
+        mp.setattr(lmm, "_balanced_sums", lambda *args: None)
         return fit_lmm(data)
 
 
 def closed_form_theta(ds):
     codes, tx, y, _status = as_arrays(ds)
-    return lmm._balanced_theta(lmm._Sufficient(codes, tx, np.log(y)))
+    return lmm._mean_squares_theta(lmm._balanced_sums(codes, tx, np.log(y), np.bincount(codes)))
 
 
 def balanced_design(n, m, log_y):
@@ -119,6 +119,15 @@ def balanced_design(n, m, log_y):
     tx = np.tile(np.r_[np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)], n)
     return SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y(line, tx)),
                             status=np.ones(line.size, dtype=np.int64))
+
+
+def general_profile_fit(ds, theta):
+    """Oracle: the general per-line profile of _Sufficient evaluated at
+    theta, as (converged, beta, se, tau2, sigma2, -2 loglik)."""
+    codes, tx, y, _status = as_arrays(ds)
+    neg2, _beta0, beta, sigma2, var_beta = lmm._profile(theta, lmm._Sufficient(codes, tx, np.log(y)))
+    converged = math.isfinite(neg2) and var_beta > 0
+    return converged, beta, math.sqrt(var_beta), theta * sigma2, sigma2, neg2
 
 
 class TestBalancedClosedForm:
@@ -136,6 +145,15 @@ class TestBalancedClosedForm:
             assert (fast.tau2_hat == 0) == (slow.tau2_hat == 0), cell
             assert abs(fast.p_value - slow.p_value) <= 1e-6, cell
             boundary += slow.tau2_hat == 0
+            # the running-sum profile equals the per-line one at the same theta
+            converged, beta, se, tau2_hat, sigma2, neg2 = general_profile_fit(
+                ds, closed_form_theta(ds))
+            assert fast.converged == converged, cell
+            assert (fast.tau2_hat == 0) == (tau2_hat == 0), cell
+            pairs = [(fast.beta_hat, beta), (fast.se_beta, se), (fast.tau2_hat, tau2_hat),
+                     (fast.sigma2_hat, sigma2), (-2.0 * fast.log_restricted_likelihood, neg2)]
+            for got, want in pairs:
+                assert got == pytest.approx(want, rel=1e-12, abs=0), cell
         assert boundary >= 30  # the tau2_hat = 0 decision is exercised
 
     def test_zero_within_line_ss(self, monkeypatch):

@@ -149,7 +149,13 @@ class TestFrailtyParams:
 class TestPilotDataset:
     def test_nonpositive_y_named_with_row(self):
         rows = [PilotRecord("a", 1.0, 0), PilotRecord("b", -2.0, 1)]
-        with pytest.raises(ValidationError, match="Y must be positive at row 2"):
+        with pytest.raises(ValidationError, match="Y must be positive and finite at row 2"):
+            PilotDataset(rows=tuple(rows))
+
+    @pytest.mark.parametrize("y", [float("inf"), float("nan")])
+    def test_non_finite_y_named_with_row(self, y):
+        rows = [PilotRecord("a", 1.0, 0), PilotRecord("b", y, 1)]
+        with pytest.raises(ValidationError, match="Y must be positive and finite at row 2"):
             PilotDataset(rows=tuple(rows))
 
     def test_bad_tx_rejected(self):
