@@ -11,8 +11,9 @@ to the single parameter theta. Under balance (every line with the same
 number of animals, half of them treated) the treatment contrast is
 orthogonal to the lines and the REML theta is the ANOVA mean-squares
 estimate (Searle, Casella & McCulloch, Variance Components, 1992, ch. 4),
-so simulated designs get it in closed form. Every line then has the same
-weight in the profile, so a balanced fit needs only the line and arm
+so simulated designs get it in closed form. Both paths read one container
+of per-line and whole-sample sums. Every line of a balanced design has
+the same weight in the profile, so its fit needs only the line and arm
 counts and five running sums (sum log y, sum (log y)^2, sum tx*log y,
 sum tx^2 and the sum of squared line totals of log y), then scalar
 arithmetic. Unbalanced data, such as a pilot with a lost animal, get the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import stdtr
@@ -65,15 +65,16 @@ _NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
 
 
 class _Sufficient:
-    """Per-line aggregates; everything the profiled criterion needs."""
+    """Per-line aggregates and whole-sample sums of one dataset; everything
+    either REML path needs. ``ni`` holds the line sizes."""
 
     __slots__ = ("N", "k", "ni", "sx", "sy", "Sx", "Sxx", "Sy", "Syy", "Sxy")
 
-    def __init__(self, codes: np.ndarray, tx: np.ndarray, logy: np.ndarray):
-        k = int(codes.max()) + 1
+    def __init__(self, codes: np.ndarray, tx: np.ndarray, logy: np.ndarray, ni: np.ndarray):
+        k = ni.size
         self.N = logy.size
         self.k = k
-        self.ni = np.bincount(codes, minlength=k).astype(np.float64)
+        self.ni = ni.astype(np.float64)
         self.sx = np.bincount(codes, weights=tx, minlength=k)
         self.sy = np.bincount(codes, weights=logy, minlength=k)
         self.Sx = float(tx.sum())
@@ -119,62 +120,37 @@ def _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, Syy):
     return neg2ll, beta0, beta, sigma2, var_beta
 
 
-class _Balanced(NamedTuple):
-    """The running sums of a balanced design: k lines of J animals each,
-    tx summing to J/2 in every line (half of each line treated)."""
+def _balanced_fit(st: _Sufficient):
+    """(theta, _profile at theta) for a balanced design, or None when the
+    design is not balanced: k lines of J animals each, tx summing to J/2
+    in every line (half of each line treated).
 
-    N: int
-    k: int
-    J: int
-    Sy: float
-    Syy: float
-    Sxy: float
-    Sxx: float
-    Q: float  # sum over lines of the squared line total of log y
-
-
-def _balanced_sums(codes: np.ndarray, tx: np.ndarray, logy: np.ndarray, ni: np.ndarray):
-    """The sums of a balanced design, or None when the design is not
-    balanced. ``ni`` holds the line sizes."""
-    sizes = ni.tolist()
-    k, J = len(sizes), sizes[0]
-    if sizes.count(J) != k or np.bincount(codes, weights=tx).tolist().count(J / 2) != k:
+    theta is the ANOVA mean-squares estimate, clamped to the search's
+    range. Every line has the same weight c = theta/(1 + theta*J) in the
+    profile, so each per-line dot product of _profile is c times a sum.
+    """
+    sizes = st.ni.tolist()
+    N, k, J = st.N, st.k, sizes[0]
+    if sizes.count(J) != k or st.sx.tolist().count(J / 2) != k:
         return None
-    sy = np.bincount(codes, weights=logy)
-    return _Balanced(N=logy.size, k=k, J=J, Sy=float(logy.sum()), Syy=float(logy @ logy),
-                     Sxy=float(tx @ logy), Sxx=float(tx @ tx), Q=float(sy @ sy))
-
-
-def _mean_squares_theta(b: _Balanced) -> float:
-    """REML variance ratio from the ANOVA mean squares, clamped to the
-    search's range."""
-    ssl = b.Q / b.J
+    Sy, Syy, Sxy, Sxx = st.Sy, st.Syy, st.Sxy, st.Sxx
+    Q = float(st.sy @ st.sy)  # sum over lines of the squared line total of log y
+    ssl = Q / J
     # within-line spread of tx around its line mean of 1/2 (N/4 for 0/1 coding)
-    sxx_w = b.Sxx - b.N / 4.0
-    msw = (b.Syy - ssl - (b.Sxy - b.Sy / 2.0) ** 2 / sxx_w) / (b.N - b.k - 1)
-    msb = (ssl - b.Sy * b.Sy / b.N) / (b.k - 1)
-    if not msw > 0:
-        return _THETA_HI
-    theta = (msb - msw) / (b.J * msw)
-    if theta <= _THETA_LO:
-        return 0.0
-    return min(theta, _THETA_HI)
-
-
-def _balanced_profile(theta: float, b: _Balanced):
-    """_profile for a balanced design. Every line has the same weight
-    c = theta/(1 + theta*J), so each per-line dot product of _profile is
-    c times a running sum."""
-    c = theta / (1.0 + theta * b.J)
-    cJ = c * b.J
-    a00 = b.N * (1.0 - cJ)
-    a01 = 0.5 * a00
-    a11 = b.Sxx - cJ * b.N / 4.0
-    b0 = b.Sy * (1.0 - cJ)
-    b1 = b.Sxy - cJ * b.Sy / 2.0
-    ytwy = b.Syy - c * b.Q
-    logdet_v0 = b.k * math.log1p(theta * b.J)
-    return _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, b.N, b.Syy)
+    sxx_w = Sxx - N / 4.0
+    msw = (Syy - ssl - (Sxy - Sy / 2.0) ** 2 / sxx_w) / (N - k - 1)
+    msb = (ssl - Sy * Sy / N) / (k - 1)
+    theta = (msb - msw) / (J * msw) if msw > 0 else _THETA_HI
+    theta = 0.0 if theta <= _THETA_LO else min(theta, _THETA_HI)
+    c = theta / (1.0 + theta * J)
+    cJ = c * J
+    a00 = N * (1.0 - cJ)
+    a11 = Sxx - cJ * N / 4.0
+    b0 = Sy * (1.0 - cJ)
+    b1 = Sxy - cJ * Sy / 2.0
+    ytwy = Syy - c * Q
+    logdet_v0 = k * math.log1p(theta * J)
+    return theta, _solve(a00, 0.5 * a00, a11, b0, b1, ytwy, logdet_v0, N, Syy)
 
 
 def fit_lmm(data) -> LmmFit:
@@ -196,13 +172,11 @@ def fit_lmm(data) -> LmmFit:
     if tx.min() == tx.max():
         raise ValueError("both treatment arms must be present")
 
-    logy = np.log(y)
-    sums = _balanced_sums(codes, tx, logy, ni)
-    if sums is not None:
-        theta = _mean_squares_theta(sums)
-        neg2, beta0, beta, sigma2, var_beta = _balanced_profile(theta, sums)
+    st = _Sufficient(codes, tx, np.log(y), ni)
+    balanced = _balanced_fit(st)
+    if balanced is not None:
+        theta, (neg2, beta0, beta, sigma2, var_beta) = balanced
     else:
-        st = _Sufficient(codes, tx, logy)
         # only unbalanced data (a pilot with a lost animal) pay for this import
         from scipy.optimize import minimize_scalar
 
@@ -242,12 +216,3 @@ def wald_test_lmm(fit: LmmFit, alpha: float) -> bool:
         raise ValueError("cannot test a non-converged fit")
     return fit.p_value < alpha
 
-
-def restricted_loglik_at(data, theta: float) -> float:
-    """Restricted log-likelihood profiled at a fixed variance ratio theta.
-
-    Exposed for cross-checks against independent grid searches.
-    """
-    codes, tx, y, _status = as_arrays(data)
-    st = _Sufficient(codes, tx, np.log(y))
-    return -0.5 * _profile(theta, st)[0]

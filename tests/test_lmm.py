@@ -10,7 +10,7 @@ from conftest import arm_means_log
 from xenopower import lmm
 from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_anova, replicate_stream
-from xenopower.lmm import fit_lmm, restricted_loglik_at, wald_test_lmm
+from xenopower.lmm import fit_lmm, wald_test_lmm
 from xenopower.types import AnovaParams, PilotDataset, PilotRecord
 
 
@@ -105,13 +105,22 @@ class TestAgainstOracles:
 def search_fit(monkeypatch, data):
     """Oracle: the bounded search fit, with the closed form switched off."""
     with monkeypatch.context() as mp:
-        mp.setattr(lmm, "_balanced_sums", lambda *args: None)
+        mp.setattr(lmm, "_balanced_fit", lambda st: None)
         return fit_lmm(data)
 
 
+def sufficient(data):
+    codes, tx, y, _status = as_arrays(data)
+    return lmm._Sufficient(codes, tx, np.log(y), np.bincount(codes))
+
+
 def closed_form_theta(ds):
-    codes, tx, y, _status = as_arrays(ds)
-    return lmm._mean_squares_theta(lmm._balanced_sums(codes, tx, np.log(y), np.bincount(codes)))
+    return lmm._balanced_fit(sufficient(ds))[0]
+
+
+def restricted_loglik_at(data, theta):
+    """Restricted log-likelihood of the general profile at a fixed theta."""
+    return -0.5 * lmm._profile(theta, sufficient(data))[0]
 
 
 def balanced_design(n, m, log_y):
@@ -124,8 +133,7 @@ def balanced_design(n, m, log_y):
 def general_profile_fit(ds, theta):
     """Oracle: the general per-line profile of _Sufficient evaluated at
     theta, as (converged, beta, se, tau2, sigma2, -2 loglik)."""
-    codes, tx, y, _status = as_arrays(ds)
-    neg2, _beta0, beta, sigma2, var_beta = lmm._profile(theta, lmm._Sufficient(codes, tx, np.log(y)))
+    neg2, _beta0, beta, sigma2, var_beta = lmm._profile(theta, sufficient(ds))
     converged = math.isfinite(neg2) and var_beta > 0
     return converged, beta, math.sqrt(var_beta), theta * sigma2, sigma2, neg2
 
