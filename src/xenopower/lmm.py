@@ -142,11 +142,13 @@ def _balanced_fit(st: _Sufficient):
     msb = (ssl - Sy * Sy / N) / (k - 1)
     theta = (msb - msw) / (J * msw) if msw > 0 else _THETA_HI
     theta = 0.0 if theta <= _THETA_LO else min(theta, _THETA_HI)
-    c = theta / (1.0 + theta * J)
+    d = 1.0 + theta * J
+    c = theta / d
     cJ = c * J
-    a00 = N * (1.0 - cJ)
+    # 1 - cJ = 1/d, which cancels when formed as a difference at large theta
+    a00 = N / d
     a11 = Sxx - cJ * N / 4.0
-    b0 = Sy * (1.0 - cJ)
+    b0 = Sy / d
     b1 = Sxy - cJ * Sy / 2.0
     ytwy = Syy - c * Q
     logdet_v0 = k * math.log1p(theta * J)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ class TestBalancedClosedForm:
         ds = gen_anova(4, 3, params, replicate_stream(1, 4, 3, 0))
         assert closed_form_theta(ds) == 0.0
         assert fit_lmm(ds) == search_fit(monkeypatch, ds)
+
+    def test_large_variance_ratio_keeps_its_digits(self):
+        # at theta ~ 5.5e4 the weight 1 - cJ = 1/(1 + theta*J) is ~1e-5; formed
+        # as a difference it cost sigma2 a relative 1.3e-10 on this draw. The
+        # parameters are the pilot's REML estimates, pinned so that the draw
+        # does not move with their last digit.
+        params = AnovaParams(beta0=0.0653407599544963, beta=0.7299459629833942,
+                             tau2=0.03319570410322243, sigma2=0.38597141190287104)
+        ds = gen_anova(2, 1, params, replicate_stream(20261018, 2, 1, 139))
+        st = sufficient(ds)
+        theta, (_neg2, _beta0, _beta, sigma2, _var_beta) = lmm._balanced_fit(st)
+        assert 5e4 < theta < 6e4
+        assert fit_lmm(ds).sigma2_hat == sigma2
+        # the same balanced profile in exact arithmetic on the same float sums
+        N, J = st.N, 2
+        Sy, Syy, Sxy, Sxx, Q = map(Fraction, (st.Sy, st.Syy, st.Sxy, st.Sxx,
+                                              float(st.sy @ st.sy)))
+        c = Fraction(theta) / (1 + Fraction(theta) * J)
+        a00, a11 = N * (1 - c * J), Sxx - c * J * N / 4
+        a01 = a00 / 2
+        b0, b1 = Sy * (1 - c * J), Sxy - c * J * Sy / 2
+        det = a00 * a11 - a01 * a01
+        beta0, beta = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+        exact = (Syy - c * Q - (b0 * beta0 + b1 * beta)) / (N - 2)
+        assert abs(Fraction(sigma2) - exact) / exact <= Fraction(6e-11)
 
 
 class TestRouting:
