@@ -50,6 +50,11 @@ class EngineError(RuntimeError):
     """Raised when a grid cell cannot produce a meaningful power estimate."""
 
 
+def _check_target_power(target_power: float) -> None:
+    if not 0.0 < target_power < 1.0:
+        raise ValidationError(f"target_power must lie in (0,1), got {target_power}")
+
+
 @dataclass(frozen=True)
 class PowerJob:
     """A full power-analysis request: grid, generating model, and target."""
@@ -62,8 +67,7 @@ class PowerJob:
     def __post_init__(self):
         if not isinstance(self.model, (AnovaParams, FrailtyParams)):
             raise ValidationError("model must be AnovaParams or FrailtyParams")
-        if not 0.0 < self.target_power < 1.0:
-            raise ValidationError(f"target_power must lie in (0,1), got {self.target_power}")
+        _check_target_power(self.target_power)
         if self.worker_count != "auto":
             if not isinstance(self.worker_count, int) or self.worker_count < 1:
                 raise ValidationError(
@@ -190,8 +194,10 @@ def minimal_designs(table: PowerTable, target_power: float) -> List[Tuple[int, i
     A qualifying cell (n, m) is kept unless some other qualifying cell
     needs no more lines and no more animals per arm, with strictly fewer
     of at least one. Selection uses unrounded power values. Returns an
-    empty list when nothing qualifies.
+    empty list when nothing qualifies. A target outside (0, 1) raises
+    ValidationError.
     """
+    _check_target_power(target_power)
     threshold = 100.0 * target_power
     qualifying = [(r.n, r.m) for r in table.rows if r.power >= threshold]
     frontier = [

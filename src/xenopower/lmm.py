@@ -217,4 +217,3 @@ def wald_test_lmm(fit: LmmFit, alpha: float) -> bool:
     if not fit.converged:
         raise ValueError("cannot test a non-converged fit")
     return fit.p_value < alpha
-

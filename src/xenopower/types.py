@@ -87,7 +87,8 @@ class FrailtyParams:
 
     The conditional hazard is lam * nu * t**(nu-1) * exp(tx*beta + a) with
     a ~ N(0, tau2) per line. When ``censor`` is set, outcomes are
-    administratively censored at time ``ct``.
+    administratively censored at time ``ct``; without it ``ct`` must be
+    left as None.
     """
 
     lam: float
@@ -110,6 +111,8 @@ class FrailtyParams:
                 raise ValidationError(
                     f"ct must be a positive finite censoring time when censor=True, got {self.ct}"
                 )
+        elif self.ct is not None:
+            raise ValidationError(f"ct is only used with censor=True, got ct={self.ct}")
 
 
 def _require_finite(params, names) -> None:

@@ -233,6 +233,14 @@ class TestMinimalDesigns:
         # 79.96 displays as 80.0 but does not qualify
         assert minimal_designs(table, 0.80) == [(3, 3), (4, 2)]
 
+    @pytest.mark.parametrize("target", [80, 1.0, 0.0, -1.0, float("nan")])
+    def test_target_outside_unit_interval_rejected(self, target):
+        # unchecked, a percentage (80) selects nothing and a negative target
+        # selects the cheapest cells
+        table = table_from_powers(PILOT_POWER_TABLE)
+        with pytest.raises(ValidationError, match="target_power"):
+            minimal_designs(table, target)
+
     def test_frontier_soundness_on_random_tables(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

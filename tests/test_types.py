@@ -145,6 +145,12 @@ class TestFrailtyParams:
         with pytest.raises(ValidationError, match="ct must be a positive finite"):
             FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=True, ct=float("inf"))
 
+    @pytest.mark.parametrize("ct", [float("nan"), -3.0, 12.0])
+    def test_censoring_time_without_censoring_rejected(self, ct):
+        # an unused ct would be echoed into the JSON header (nan is not JSON)
+        with pytest.raises(ValidationError, match="only used with censor=True"):
+            FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=False, ct=ct)
+
 
 class TestPilotDataset:
     def test_nonpositive_y_named_with_row(self):
