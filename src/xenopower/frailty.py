@@ -21,8 +21,11 @@ started from that optimum with tau = 0.3. Its score and observed
 information are analytic: each line's quadrature nodes are held fixed
 within an evaluation, so they are exact for the quadrature rule, and the
 nodes' own movement only enters at the order of the quadrature error
-(Pinheiro & Chao, JCGS 2006). A fit heading to tau = 0 reports the exact
-no-frailty optimum with tau2_hat = 0.
+(Pinheiro & Chao, JCGS 2006). Each step solves with the Cholesky factor
+of the negative information, unrolled in scalars; only where a pivot is
+not positive does it fall back to an eigendecomposition with reflected
+eigenvalues. A fit heading to tau = 0 reports the exact no-frailty
+optimum with tau2_hat = 0.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from scipy.special import ndtr, wrightomega
 
 from ._data import as_arrays
+from .types import _is_integer
 
 __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
 
@@ -109,11 +113,20 @@ class _GroupData:
         self.sum_dtx = float(delta @ tx)
         self.n_events = float(delta.sum())
         # control and treated arm indicators, and each arm's event count
-        self.arm = np.stack((1.0 - tx, tx))
+        self.arm = np.empty((2, tx.size))
+        np.subtract(1.0, tx, out=self.arm[0])
+        self.arm[1] = tx
         self.events = self.arm @ delta
         self.member = (codes[None, :] == np.arange(self.k)[:, None]).astype(np.float64)
+        # columns 1, log y, tx, (log y)^2, tx log y, tx^2
         logy = self.logy
-        self.basis = np.column_stack((np.ones_like(logy), logy, tx, logy * logy, logy * tx, tx * tx))
+        basis = self.basis = np.empty((logy.size, 6))
+        basis[:, 0] = 1.0
+        basis[:, 1] = logy
+        basis[:, 2] = tx
+        np.multiply(logy, logy, out=basis[:, 3])
+        np.multiply(logy, tx, out=basis[:, 4])
+        np.multiply(tx, tx, out=basis[:, 5])
 
 
 def _hazard_sums(p: np.ndarray, gd: _GroupData):
@@ -195,14 +208,20 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     """Marginal log-likelihood of (lam, nu, beta, tau2) for a censored
     dataset, by adaptive Gauss-Hermite quadrature over the frailty.
 
-    ``params`` is the tuple (lam, nu, beta, tau2); tau2 = 0 short-circuits
-    to the no-frailty log-likelihood.
+    ``params`` is the tuple (lam, nu, beta, tau2), each finite; tau2 = 0
+    short-circuits to the no-frailty log-likelihood. ``quad_points`` is a
+    positive integer.
     """
     lam, nu, beta, tau2 = (float(v) for v in params)
+    for name, value in zip(("lam", "nu", "beta", "tau2"), (lam, nu, beta, tau2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if lam <= 0 or nu <= 0:
         raise ValueError("lam and nu must be positive")
     if tau2 < 0:
         raise ValueError("tau2 must be nonnegative")
+    if not _is_integer(quad_points) or quad_points < 1:
+        raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
     codes, tx, y, status = as_arrays(data)
     if y.size == 0:
         raise ValueError("dataset is empty")
@@ -274,19 +293,22 @@ def _no_frailty_fit(gd: _GroupData):
     centred = gd.logy - tops[treated.astype(np.int64)]
     # rows: each arm's indicator times 1, log y - top, (log y - top)^2
     powers = np.concatenate((gd.arm, gd.arm * centred, gd.arm * centred * centred))
+    top0, top1 = tops.tolist()
+    d0, d1 = gd.events.tolist()
+    n_events, sum_dlogy = gd.n_events, gd.sum_dlogy
 
     def arm_moments(s: float):
         # sum(y**nu) / exp(nu * top), and the y**nu-weighted mean and
-        # variance of log y - top, per arm
+        # variance of log y - top, per arm; past the one product, scalars
         nu = math.exp(s)
-        m = powers @ np.exp(nu * centred)
-        mean = m[2:4] / m[:2]
-        return nu, m[:2], mean, m[4:] / m[:2] - mean * mean
+        c0, c1, l0, l1, q0, q1 = (powers @ np.exp(nu * centred)).tolist()
+        mean0, mean1 = l0 / c0, l1 / c1
+        return nu, c0, c1, mean0, mean1, q0 / c0 - mean0 * mean0, q1 / c1 - mean1 * mean1
 
     def h(s: float):
-        nu, _, mean, var = arm_moments(s)
-        value = gd.n_events / nu + gd.sum_dlogy - float(gd.events @ (tops + mean))
-        slope = -gd.n_events / nu - nu * float(gd.events @ var)
+        nu, _, _, mean0, mean1, var0, var1 = arm_moments(s)
+        value = n_events / nu + sum_dlogy - (d0 * (top0 + mean0) + d1 * (top1 + mean1))
+        slope = -n_events / nu - nu * (d0 * var0 + d1 * var1)
         return value, slope
 
     lo, hi = -_LOG_NU_MAX, _LOG_NU_MAX
@@ -305,9 +327,10 @@ def _no_frailty_fit(gd: _GroupData):
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
     else:
         return None
-    nu, scaled, _, _ = arm_moments(s)
-    log_rates = np.log(gd.events) - nu * tops - np.log(scaled)
-    p = np.array([log_rates[0], s, log_rates[1] - log_rates[0]])
+    nu, c0, c1 = arm_moments(s)[:3]
+    log_rate0 = math.log(d0) - nu * top0 - math.log(c0)
+    log_rate1 = math.log(d1) - nu * top1 - math.log(c1)
+    p = np.array([log_rate0, s, log_rate1 - log_rate0])
     sums, nu, k_total = _hazard_sums(p, gd)
     total = sums.sum(axis=0)
     hess = -total[_SECOND]
@@ -318,12 +341,47 @@ def _no_frailty_fit(gd: _GroupData):
 
 
 def _ascent_direction(score: np.ndarray, hess: np.ndarray):
-    """Newton direction and Newton decrement score'(-hess)^-1 score.
+    """Newton direction, Newton decrement score'(-hess)^-1 score, and
+    whether -hess is positive definite.
 
-    Where -hess is not positive definite its eigenvalues are reflected to
-    their magnitudes (floored relative to the largest), so the direction
-    still ascends; such a point never counts as converged.
+    The step solves with the Cholesky factor L of -hess, unrolled in
+    scalars for the 4 x 4 case: the decrement is |L^-1 score|^2. Only
+    where a pivot is not positive, so -hess is not positive definite, are
+    its eigenvalues reflected to their magnitudes (floored relative to the
+    largest), so the direction still ascends; such a point never counts
+    as converged.
     """
+    # the lower triangle, which eigh reads too
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = hess.tolist()
+    g0, g1, g2, g3 = score.tolist()
+    # -hess = L L', column by column; each pivot is checked before its root
+    p0 = -a00
+    if p0 > 0:
+        l00 = math.sqrt(p0)
+        l10, l20, l30 = -a10 / l00, -a20 / l00, -a30 / l00
+        p1 = -a11 - l10 * l10
+        if p1 > 0:
+            l11 = math.sqrt(p1)
+            l21 = (-a21 - l20 * l10) / l11
+            l31 = (-a31 - l30 * l10) / l11
+            p2 = -a22 - l20 * l20 - l21 * l21
+            if p2 > 0:
+                l22 = math.sqrt(p2)
+                l32 = (-a32 - l30 * l20 - l31 * l21) / l22
+                p3 = -a33 - l30 * l30 - l31 * l31 - l32 * l32
+                if p3 > 0:
+                    l33 = math.sqrt(p3)
+                    # z = L^-1 score, then direction = L'^-1 z
+                    z0 = g0 / l00
+                    z1 = (g1 - l10 * z0) / l11
+                    z2 = (g2 - l20 * z0 - l21 * z1) / l22
+                    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+                    x3 = z3 / l33
+                    x2 = (z2 - l32 * x3) / l22
+                    x1 = (z1 - l21 * x2 - l31 * x3) / l11
+                    x0 = (z0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+                    decrement = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+                    return np.array([x0, x1, x2, x3]), decrement, True
     eig, vec = np.linalg.eigh(-hess)
     definite = eig[0] > 0
     if not definite:
@@ -335,6 +393,11 @@ def _ascent_direction(score: np.ndarray, hess: np.ndarray):
 def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
             value0: float, tau2_score0: float):
     """Damped Newton ascent of the marginal log-likelihood from p.
+
+    Each direction comes from _ascent_direction: a Cholesky solve where
+    -hess is positive definite, reflected eigenvalues elsewhere; only a
+    positive definite point with a Newton decrement at most 1e-10 counts
+    as a maximum.
 
     Returns (boundary, p, value, hess): boundary is False at a maximum, and
     True when the search heads to tau = 0 and either tau has fallen below

@@ -24,6 +24,19 @@ MEDIAN_FRAILTY = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
 # log tau at which the quadrature-based likelihood collapses to the no-frailty one
 NO_FRAILTY_LOG_TAU = math.log(frailty._TAU_FLOOR) - 60.0
 GOLDEN_FITS = Path(__file__).parent / "golden" / "frailty_fits.json"
+# _loglik_derivs calls per golden fit, one row per golden configuration,
+# counted with the eigendecomposition Newton step and vectorised no-frailty
+# profile of commit bde6d19
+GOLDEN_DERIV_CALLS = [
+    [5, 5, 5, 5, 5, 5, 5, 6, 5, 5, 7, 5, 6, 5, 5, 4, 5, 5, 7, 7],
+    [5, 5, 6, 5, 4, 5, 6, 4, 6, 5, 5, 5, 6, 6, 4, 8, 7, 5, 6, 4],
+    [5, 4, 4, 4, 4, 5, 5, 5, 5, 4, 6, 5, 4, 5, 4, 4, 10, 4, 4, 4],
+    [4, 4, 6, 4, 4, 6, 5, 4, 7, 8, 5, 5, 6, 5, 6, 6, 5, 6, 9, 7],
+    [5, 5, 6, 5, 5, 7, 5, 5, 7, 5, 5, 5, 6, 8, 6, 5, 5, 5, 5, 5],
+    [5, 6, 6, 5, 6, 5, 5, 6, 5, 5, 5, 5, 6, 5, 5, 6, 7, 5, 5, 12],
+    [0, 0, 5, 0, 8, 5, 12, 20, 0, 6, 5, 0, 5, 8, 13, 0, 24, 0, 0, 5],
+    [5, 5, 5, 5, 5, 0, 5, 6, 5, 5, 5, 5, 6, 6, 5, 5, 5, 6, 6, 9],
+]
 
 
 def trapezoid_loglik(lam, nu, beta, tau2, line_index, tx, y, status, n_points=200_001):
@@ -96,6 +109,77 @@ def central_hessian(f, p, h=1e-4):
 
 def group_data(data):
     return frailty._GroupData(*as_arrays(data))
+
+
+def golden_datasets():
+    """Every dataset the golden fits were frozen on, as
+    ((configuration index, replicate), dataset)."""
+    golden = json.loads(GOLDEN_FITS.read_text())
+    seed = golden["seed"]
+    for i, cell in enumerate(golden["configurations"]):
+        n, m, params = cell["n"], cell["m"], FrailtyParams(**cell["params"])
+        for r in range(len(cell["fits"])):
+            yield (i, r), gen_frailty(n, m, params, replicate_stream(seed, n, m, r))
+
+
+def reflected_eigen_direction(score, hess):
+    """Oracle: the Newton step by eigendecomposition of -hess, with its
+    eigenvalues reflected to their magnitudes where it is not positive
+    definite; the step the unrolled Cholesky solve replaced."""
+    eig, vec = np.linalg.eigh(-hess)
+    definite = eig[0] > 0
+    if not definite:
+        eig = np.maximum(np.abs(eig), 1e-8 * max(float(np.abs(eig).max()), 1e-300))
+    direction = vec @ ((vec.T @ score) / eig)
+    return direction, float(score @ direction), definite
+
+
+def vectorised_no_frailty_fit(gd):
+    """Oracle: the no-frailty stage with its per-arm moments kept as numpy
+    arrays, as before the profile moved to scalar arithmetic."""
+    treated = gd.tx == 1
+    tops = np.array([gd.logy[~treated].max(), gd.logy[treated].max()])
+    centred = gd.logy - tops[treated.astype(np.int64)]
+    powers = np.concatenate((gd.arm, gd.arm * centred, gd.arm * centred * centred))
+
+    def arm_moments(s):
+        nu = math.exp(s)
+        m = powers @ np.exp(nu * centred)
+        mean = m[2:4] / m[:2]
+        return nu, m[:2], mean, m[4:] / m[:2] - mean * mean
+
+    def h(s):
+        nu, _, mean, var = arm_moments(s)
+        value = gd.n_events / nu + gd.sum_dlogy - float(gd.events @ (tops + mean))
+        slope = -gd.n_events / nu - nu * float(gd.events @ var)
+        return value, slope
+
+    lo, hi = -frailty._LOG_NU_MAX, frailty._LOG_NU_MAX
+    if not (h(lo)[0] > 0 > h(hi)[0]):
+        return None
+    s = 0.0
+    for _ in range(100):
+        value, slope = h(s)
+        if value > 0:
+            lo = s
+        else:
+            hi = s
+        step = -value / slope
+        if abs(step) <= 1e-12:
+            break
+        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+    else:
+        return None
+    nu, scaled, _, _ = arm_moments(s)
+    log_rates = np.log(gd.events) - nu * tops - np.log(scaled)
+    p = np.array([log_rates[0], s, log_rates[1] - log_rates[0]])
+    sums, nu, k_total = frailty._hazard_sums(p, gd)
+    total = sums.sum(axis=0)
+    hess = -total[frailty._SECOND]
+    hess[1, 1] += nu * gd.sum_dlogy
+    a_cum = sums[:, 0]
+    tau2_score = 0.5 * float(np.sum((gd.d - a_cum) ** 2 - a_cum))
+    return p, float(k_total - total[0]), hess, tau2_score
 
 
 def quadrature_loglik(gd, quad_points=15):
@@ -221,6 +305,26 @@ class TestLoglik:
             frailty_loglik((0.0, 1.0, 0.0, 0.1), pilot_survival)
         with pytest.raises(ValueError):
             frailty_loglik((0.3, 1.0, 0.0, -0.1), pilot_survival)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index, name", [(0, "lam"), (1, "nu"), (2, "beta"), (3, "tau2")])
+    def test_rejects_non_finite_parameters(self, index, name, value):
+        # a nan tau2 used to return the no-frailty likelihood, and a
+        # non-finite lam, nu or beta to end in "diverged"
+        params = [0.3, 1.0, -0.5, 0.2]
+        params[index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            frailty_loglik(tuple(params), small_two_line_dataset())
+
+    @pytest.mark.parametrize("quad_points", [2.7, 15.0, True, 0, -3, "15"])
+    def test_rejects_quad_points_other_than_a_positive_integer(self, quad_points):
+        with pytest.raises(ValueError, match="quad_points must be a positive integer"):
+            frailty_loglik((0.3, 1.0, -0.5, 0.2), small_two_line_dataset(), quad_points)
+
+    def test_accepts_numpy_integer_quad_points(self):
+        ds = small_two_line_dataset()
+        params = (0.3, 1.0, -0.5, 0.2)
+        assert frailty_loglik(params, ds, np.int64(31)) == frailty_loglik(params, ds, 31)
 
 
 class TestClosedFormModes:
@@ -438,6 +542,24 @@ class TestFrozenFits:
                 assert fit.se_beta == pytest.approx(se_beta, rel=1e-8, abs=0), where
 
 
+    def test_newton_path_is_unchanged(self, monkeypatch):
+        # every golden fit makes as many derivative evaluations as the
+        # eigendecomposition step did, so it takes the same Newton path
+        calls = []
+
+        def spy(*args, _real=frailty._loglik_derivs):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(frailty, "_loglik_derivs", spy)
+        counts = [[] for _ in GOLDEN_DERIV_CALLS]
+        for (i, _), ds in golden_datasets():
+            calls.clear()
+            fit_frailty(ds)
+            counts[i].append(len(calls))
+        assert counts == GOLDEN_DERIV_CALLS
+
+
 def oracle_datasets(source):
     if source == "pilot":
         return [pilot_censored()]
@@ -484,6 +606,87 @@ class TestNoFrailtyStage:
             u = 1e-7
             forward = (quadrature_loglik(gd)(np.append(p, 0.5 * math.log(u))) - value) / u
             assert tau2_score == pytest.approx(forward, rel=1e-4, abs=1e-6)
+
+
+class TestCholeskyStep:
+    @staticmethod
+    def assert_matches_oracle(score, hess, where=None, cond=1.0):
+        direction, decrement, definite = frailty._ascent_direction(score, hess)
+        ref_direction, ref_decrement, ref_definite = reflected_eigen_direction(score, hess)
+        assert definite == ref_definite, where
+        if not definite:
+            # the fallback is the oracle's own computation
+            assert np.array_equal(direction, ref_direction), where
+            assert decrement == ref_decrement, where
+            return
+        # 1e-12 up to condition 1e3; beyond it the rounding of either solve
+        # grows with the condition number
+        tol = 1e-12 * max(1.0, cond / 1e3)
+        scale = float(np.abs(ref_direction).max())
+        assert float(np.abs(direction - ref_direction).max()) <= tol * scale, where
+        assert abs(decrement - ref_decrement) <= tol * ref_decrement, where
+
+    @staticmethod
+    def random_hessians(seed, smallest, size=300):
+        # -hess = Q diag(eig) Q' with eigenvalues spread over six decades
+        # and the first set to `smallest` times the largest
+        rng = np.random.default_rng(seed)
+        for _ in range(size):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            eig = np.exp(rng.uniform(math.log(1e-6), 0.0, 4)) * 10.0 ** rng.uniform(-2, 4)
+            eig[0] = smallest * eig.max()
+            yield rng.normal(size=4), -(q * eig) @ q.T, eig
+
+    @pytest.mark.parametrize("smallest", [1e-1, 1e-3, 1e-9], ids=["spd", "cond1e3", "near_singular"])
+    def test_definite_matches_eigen_oracle(self, smallest):
+        for score, hess, eig in self.random_hessians(1, smallest):
+            assert frailty._ascent_direction(score, hess)[2]
+            self.assert_matches_oracle(score, hess, cond=float(eig.max() / eig.min()))
+
+    @pytest.mark.parametrize("smallest", [-1e-1, -1e-9, 0.0], ids=["indefinite", "near_singular", "singular"])
+    def test_non_definite_falls_back_to_reflection(self, smallest):
+        for score, hess, _ in self.random_hessians(2, smallest):
+            if smallest == 0.0:
+                # exactly singular: a zero last row and column
+                hess[3, :] = hess[:, 3] = 0.0
+            assert not frailty._ascent_direction(score, hess)[2]
+            self.assert_matches_oracle(score, hess)
+
+    def test_matches_eigen_oracle_at_golden_newton_iterates(self, monkeypatch):
+        steps = []
+
+        def spy(score, hess, _real=frailty._ascent_direction):
+            steps.append((score.copy(), hess.copy()))
+            return _real(score, hess)
+
+        monkeypatch.setattr(frailty, "_ascent_direction", spy)
+        for where, ds in golden_datasets():
+            start = len(steps)
+            fit_frailty(ds)
+            for score, hess in steps[start:]:
+                self.assert_matches_oracle(score, hess, where)
+        assert len(steps) > 500
+        assert 0 < sum(not reflected_eigen_direction(*step)[2] for step in steps) < len(steps)
+
+
+class TestScalarNoFrailtyProfile:
+    def test_matches_vectorised_profile(self):
+        # the golden datasets and the bundled censored pilot
+        compared = 0
+        for where, ds in [(None, pilot_censored()), *golden_datasets()]:
+            gd = group_data(ds)
+            if not gd.events.all():
+                continue
+            with np.errstate(all="ignore"):
+                got, ref = frailty._no_frailty_fit(gd), vectorised_no_frailty_fit(gd)
+            assert (got is None) == (ref is None), where
+            if got is None:
+                continue
+            compared += 1
+            for a, b in zip(got, ref):
+                a, b = np.asarray(a), np.asarray(b)
+                assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))), where
+        assert compared >= 150
 
 
 class TestNearBoundary:
