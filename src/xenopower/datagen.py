@@ -52,6 +52,8 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
 def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Line labels and arm indicators of cell (n, m), shared read-only by
     every dataset drawn for that cell."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive")
     line = np.repeat(np.arange(1, n + 1), 2 * m)
     tx = np.tile(np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)]), n)
     line.flags.writeable = False
@@ -65,8 +67,6 @@ def gen_anova(n: int, m: int, params: AnovaParams, stream: np.random.Generator) 
     y = exp(beta0 + tx*beta + line effect + residual); all records are
     observed events.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
     line, tx = _design_arrays(n, m)
     line_eff = stream.normal(0.0, np.sqrt(params.tau2), size=n)
     eps = stream.normal(0.0, np.sqrt(params.sigma2), size=2 * n * m)
@@ -87,8 +87,6 @@ def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generat
     S(t) = exp(-lam * t**nu * exp(tx*beta + a)) at a uniform draw; with
     censoring on, y = min(T, ct) and status flags observed events.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
     line, tx = _design_arrays(n, m)
     frailty = stream.normal(0.0, np.sqrt(params.tau2), size=n)
     u = stream.uniform(size=2 * n * m)

@@ -119,8 +119,6 @@ def elicit_frailty_from_medians(
     _check_medians(ctl_med, tx_med)
     if not 0 < nu < math.inf:
         raise ValidationError(f"nu must be positive and finite, got {nu}")
-    if tau2 < 0:
-        raise ValidationError(f"tau2 must be nonnegative, got {tau2}")
     # checked in log space, where ctl_med**nu cannot overflow or underflow
     log_lam = math.log(math.log(2.0)) - nu * math.log(ctl_med)
     if not _LOG_FLOAT_MIN < log_lam < _LOG_FLOAT_MAX:

@@ -36,6 +36,7 @@ from .types import (
     PowerRow,
     PowerTable,
     ValidationError,
+    _is_integer,
 )
 
 __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
@@ -69,7 +70,7 @@ class PowerJob:
             raise ValidationError("model must be AnovaParams or FrailtyParams")
         _check_target_power(self.target_power)
         if self.worker_count != "auto":
-            if not isinstance(self.worker_count, int) or self.worker_count < 1:
+            if not _is_integer(self.worker_count) or self.worker_count < 1:
                 raise ValidationError(
                     f"worker_count must be a positive integer or 'auto', got {self.worker_count!r}"
                 )
@@ -155,13 +156,15 @@ def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]]
     table is identical for any worker count.
     """
     grid = job.grid
-    workers = _resolve_workers(job.worker_count)
     cells = [(n, m) for n in grid.n_values for m in grid.m_values]
     sim, alpha, seed = grid.sim, grid.alpha, grid.seed
     is_frailty = isinstance(job.model, FrailtyParams)
     chunks_per_cell = len(range(0, sim, _CHUNK))
     tasks = [(job.model, n, m, alpha, seed, r0, min(r0 + _CHUNK, sim))
              for n, m in cells for r0 in range(0, sim, _CHUNK)]
+    # a process pool starts all its workers at its first submit, so start
+    # none that no chunk needs
+    workers = min(_resolve_workers(job.worker_count), len(tasks))
 
     # one worker stays in-process so the layer functions can be swapped
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import ndtr, wrightomega
 
 from ._data import as_arrays
-from .types import _is_integer
+from .types import FrailtyParams, _is_integer
 
 __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
 
@@ -64,6 +64,8 @@ _MAX_STEP = 2.0
 _DECREMENT_TOL = 1e-10
 _NEAR_DECREMENT = 1e-6
 _ARMIJO = 1e-4
+# the direction in (log lam, log nu, beta, log tau) whose Newton decrement is var(beta_hat)
+_UNIT_BETA = np.array([0.0, 0.0, 1.0, 0.0])
 # rows of the 3 x 3 second-derivative matrix in the six per-line hazard sums
 _SECOND = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
@@ -208,18 +210,12 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     """Marginal log-likelihood of (lam, nu, beta, tau2) for a censored
     dataset, by adaptive Gauss-Hermite quadrature over the frailty.
 
-    ``params`` is the tuple (lam, nu, beta, tau2), each finite; tau2 = 0
-    short-circuits to the no-frailty log-likelihood. ``quad_points`` is a
-    positive integer.
+    ``params`` is the tuple (lam, nu, beta, tau2), checked as FrailtyParams
+    checks them; tau2 = 0 short-circuits to the no-frailty log-likelihood.
+    ``quad_points`` is a positive integer.
     """
     lam, nu, beta, tau2 = (float(v) for v in params)
-    for name, value in zip(("lam", "nu", "beta", "tau2"), (lam, nu, beta, tau2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if lam <= 0 or nu <= 0:
-        raise ValueError("lam and nu must be positive")
-    if tau2 < 0:
-        raise ValueError("tau2 must be nonnegative")
+    FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
     if not _is_integer(quad_points) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
     codes, tx, y, status = as_arrays(data)
@@ -457,8 +453,8 @@ def fit_frailty(data) -> FrailtyFit:
     events, either stage leaves the box |log nu| <= log 50,
     log tau <= log 20, the Newton search stalls or spends its budget of 30
     steps, the quadrature is not finite or has not stabilized (15- vs
-    31-point disagreement), the information matrix yields no positive
-    variance for beta, or lambda_hat falls outside the normal float range.
+    31-point disagreement), the information matrix is not positive
+    definite, or lambda_hat falls outside the normal float range.
 
     At designs with few events the normal-reference p_value over-rejects:
     nu_hat is biased upward and the observed-information se_beta is too
@@ -487,18 +483,21 @@ def fit_frailty(data) -> FrailtyFit:
             return _NOT_CONVERGED
         boundary, point, log_likelihood, hess = result
         if boundary:
-            tau2_hat, point, log_likelihood, hess = 0.0, p0, value0, hess0
+            tau2_hat, point, log_likelihood = 0.0, p0, value0
+            # the no-frailty information, with a unit row and column for log tau
+            hess = np.diag([0.0, 0.0, 0.0, -1.0])
+            hess[:3, :3] = hess0
         else:
             tau2_hat = math.exp(2.0 * float(point[3]))
             # quadrature stability at the optimum: refuse fits the node count cannot pin down
             x2, logw2 = _hermite_nodes(2 * _QUAD_POINTS + 1)
             if abs(log_likelihood - _loglik_core(point, gd, x2, logw2)) > _QUAD_TOL:
                 return _NOT_CONVERGED
-        try:
-            var_beta = float(np.linalg.inv(-hess)[2, 2])
-        except np.linalg.LinAlgError:
-            return _NOT_CONVERGED
-    if not (0 < var_beta < math.inf and _LOG_FLOAT_MIN < point[0] < _LOG_FLOAT_MAX):
+        # var(beta_hat), the beta element of the inverse information, is
+        # the Newton decrement of the unit beta vector
+        _, var_beta, definite = _ascent_direction(_UNIT_BETA, hess)
+    if not (definite and 0 < var_beta < math.inf
+            and _LOG_FLOAT_MIN < point[0] < _LOG_FLOAT_MAX):
         return _NOT_CONVERGED
 
     beta = float(point[2])

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .types import (
     AnovaParams,
@@ -106,45 +107,29 @@ def read_power_csv(path) -> List[PowerRow]:
     return rows
 
 
-def _params_dict(table: PowerTable) -> Dict[str, object]:
-    p = table.params
-    if isinstance(p, AnovaParams):
-        d: Dict[str, object] = {
-            "model": "anova",
-            "beta0": p.beta0,
-            "beta": p.beta,
-            "tau2": p.tau2,
-            "sigma2": p.sigma2,
-        }
-    else:
-        d = {
-            "model": "frailty",
-            "lambda": p.lam,
-            "nu": p.nu,
-            "beta": p.beta,
-            "tau2": p.tau2,
-            "censor": p.censor,
-            "ct": p.ct,
-        }
-    d["sim"] = table.sim
-    d["alpha"] = table.alpha
-    return d
+# JSON keys that differ from the names of the dataclass fields they hold
+_JSON_KEYS = {"lam": "lambda", "total_animals": "N"}
+# the "model" tag of each parameter type
+_MODELS = {"anova": AnovaParams, "frailty": FrailtyParams}
+
+
+def _to_json(obj) -> Dict[str, object]:
+    return {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
+
+
+def _from_json(cls, doc: Dict[str, object]):
+    return cls(**{f.name: doc[_JSON_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
 
 def power_json_dict(table: PowerTable, frontier: Sequence[Tuple[int, int]]) -> Dict[str, object]:
+    """The JSON document of a power table: ``params`` holds the model tag,
+    the parameter type's fields (``lambda`` for lam), sim and alpha; each
+    row holds PowerRow's fields (``N`` for total_animals)."""
+    model = next(tag for tag, cls in _MODELS.items() if isinstance(table.params, cls))
     return {
-        "params": _params_dict(table),
-        "rows": [
-            {
-                "n": r.n,
-                "m": r.m,
-                "N": r.total_animals,
-                "power": r.power,
-                "convergence": r.convergence,
-                "censoring": r.censoring,
-            }
-            for r in table.rows
-        ],
+        "params": {"model": model, **_to_json(table.params), "sim": table.sim,
+                   "alpha": table.alpha},
+        "rows": [_to_json(r) for r in table.rows],
         "frontier": [[n, m] for n, m in frontier],
         "seed": table.seed,
     }
@@ -162,33 +147,9 @@ def read_power_json(path) -> Tuple[PowerTable, List[Tuple[int, int]]]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     pd = doc["params"]
-    if pd["model"] == "anova":
-        params: Union[AnovaParams, FrailtyParams] = AnovaParams(
-            beta0=pd["beta0"], beta=pd["beta"], tau2=pd["tau2"], sigma2=pd["sigma2"]
-        )
-    else:
-        params = FrailtyParams(
-            lam=pd["lambda"],
-            nu=pd["nu"],
-            beta=pd["beta"],
-            tau2=pd["tau2"],
-            censor=pd["censor"],
-            ct=pd["ct"],
-        )
-    rows = tuple(
-        PowerRow(
-            n=r["n"],
-            m=r["m"],
-            total_animals=r["N"],
-            power=r["power"],
-            convergence=r["convergence"],
-            censoring=r["censoring"],
-        )
-        for r in doc["rows"]
-    )
     table = PowerTable(
-        rows=rows,
-        params=params,
+        rows=tuple(_from_json(PowerRow, r) for r in doc["rows"]),
+        params=_from_json(_MODELS[pd["model"]], pd),
         sim=pd["sim"],
         alpha=pd["alpha"],
         seed=doc["seed"],

@@ -68,11 +68,11 @@ class AnovaParams:
     sigma2: float
 
     def __post_init__(self):
-        if not self.tau2 >= 0:
-            raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
-        if not self.sigma2 > 0:
-            raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
         _require_finite(self, ("beta0", "beta", "tau2", "sigma2"))
+        if self.tau2 < 0:
+            raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
+        if self.sigma2 <= 0:
+            raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
 
     @property
     def icc(self) -> float:
@@ -99,13 +99,13 @@ class FrailtyParams:
     ct: Optional[float] = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValidationError(f"lam must be positive, got {self.lam}")
-        if not self.nu > 0:
-            raise ValidationError(f"nu must be positive, got {self.nu}")
-        if not self.tau2 >= 0:
-            raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
         _require_finite(self, ("lam", "nu", "beta", "tau2"))
+        if self.lam <= 0:
+            raise ValidationError(f"lam must be positive, got {self.lam}")
+        if self.nu <= 0:
+            raise ValidationError(f"nu must be positive, got {self.nu}")
+        if self.tau2 < 0:
+            raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
         if self.censor:
             if self.ct is None or not 0 < self.ct < math.inf:
                 raise ValidationError(

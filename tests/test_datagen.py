@@ -62,6 +62,13 @@ class TestDesignShape:
         with pytest.raises(ValueError, match="read-only"):
             a.tx[0] = 1
 
+    @pytest.mark.parametrize("n, m", [(0, 2), (3, 0)])
+    def test_empty_design_rejected(self, n, m):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            gen_anova(n, m, anova_params(), replicate_stream(5, 3, 2, 0))
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            gen_frailty(n, m, frailty_params(), replicate_stream(5, 3, 2, 0))
+
     def test_small_cell_counts_and_positivity(self):
         ds = gen_anova(3, 2, anova_params(), replicate_stream(5, 3, 2, 0))
         assert ds.y.size == 12

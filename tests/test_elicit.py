@@ -91,6 +91,8 @@ class TestFrailtyFromMedians:
         (dict(ctl_med=float("inf"), tx_med=7.2), "positive and finite"),
         (dict(ctl_med=2.4, tx_med=7.2, nu=float("inf")), "nu"),
         (dict(ctl_med=2.4, tx_med=7.2, tau2=float("inf")), "tau2 must be finite"),
+        (dict(ctl_med=2.4, tx_med=7.2, tau2=float("nan")), "tau2 must be finite"),
+        (dict(ctl_med=2.4, tx_med=7.2, tau2=-0.1), "tau2 must be nonnegative"),
     ])
     def test_extreme_or_non_finite_inputs_rejected(self, kwargs, match):
         with pytest.raises(ValidationError, match=match):

@@ -197,6 +197,42 @@ class TestConvergenceHandling:
         assert 50.0 <= row.convergence < 99.0
 
 
+class TestPoolSize:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """max_workers of each pool run_power_grid creates; an in-process
+        stand-in runs the chunks, so no process starts."""
+        sizes = []
+
+        class RecordingPool(Executor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("xenopower.engine.ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @staticmethod
+    def job(m_values, workers):
+        grid = DesignGrid(n_values=(3,), m_values=m_values, sim=8, alpha=0.05, seed=3)
+        return PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=workers)
+
+    def test_one_chunk_grid_runs_in_process(self, pool_sizes):
+        # a pool would start all eight processes for the grid's one chunk
+        table = run_power_grid(self.job((2,), 8))
+        assert pool_sizes == []
+        assert table == run_power_grid(self.job((2,), 1))
+
+    def test_pool_has_no_more_workers_than_chunks(self, pool_sizes):
+        table = run_power_grid(self.job((2, 3, 4), 8))
+        assert pool_sizes == [3]
+        assert table == run_power_grid(self.job((2, 3, 4), 1))
+
+
 class TestFrailtyColumns:
     def test_censoring_column_present_for_frailty_runs(self):
         grid = DesignGrid(n_values=(3,), m_values=(2,), sim=30, alpha=0.05, seed=9)
@@ -270,6 +306,17 @@ class TestJobValidation:
         grid = DesignGrid(n_values=(3,), m_values=(2,), sim=10, alpha=0.05, seed=1)
         with pytest.raises(ValidationError, match="worker_count"):
             PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=0)
+
+    @pytest.mark.parametrize("count", [True, 2.0, "2"])
+    def test_worker_count_must_be_an_integer(self, count):
+        # True used to pass as the integer 1
+        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=10, alpha=0.05, seed=1)
+        with pytest.raises(ValidationError, match="worker_count"):
+            PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=count)
+
+    def test_numpy_integer_worker_count_accepted(self):
+        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=10, alpha=0.05, seed=1)
+        assert PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=np.int64(2)).worker_count == 2
 
     def test_model_type_checked(self):
         grid = DesignGrid(n_values=(3,), m_values=(2,), sim=10, alpha=0.05, seed=1)

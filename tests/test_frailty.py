@@ -701,6 +701,47 @@ class TestNearBoundary:
         assert fit.converged
         assert fit.se_beta == pytest.approx(se, rel=1e-3)
 
+    def test_se_matches_inverse_information_on_golden_fits(self, monkeypatch):
+        # the oracle inverts the information the fit ended on: the final
+        # Newton iterate's, or at the boundary the no-frailty model's
+        ends = {}
+        for name in ("_newton", "_no_frailty_fit"):
+            def spy(*args, _real=getattr(frailty, name), _name=name):
+                ends[_name] = _real(*args)
+                return ends[_name]
+
+            monkeypatch.setattr(frailty, name, spy)
+        boundary = 0
+        for where, ds in golden_datasets():
+            ends.clear()
+            fit = fit_frailty(ds)
+            if not fit.converged:
+                continue
+            if fit.tau2_hat == 0:
+                boundary += 1
+                hess = ends["_no_frailty_fit"][2]
+            else:
+                hess = ends["_newton"][3]
+            var_beta = float(np.linalg.inv(-hess)[2, 2])
+            assert fit.se_beta ** 2 == pytest.approx(var_beta, rel=1e-12, abs=0), where
+        assert 0 < boundary < 150  # both kinds of exit are checked
+
+    def test_information_not_positive_definite_is_not_converged(self, monkeypatch):
+        # a boundary fit whose no-frailty information has lost definiteness
+        # in log nu, though its beta element of the inverse stays positive
+        def indefinite(gd, _real=frailty._no_frailty_fit):
+            p, value, hess, tau2_score = _real(gd)
+            hess = hess.copy()
+            hess[1, 1] = -hess[1, 1]
+            return p, value, hess, tau2_score
+
+        ds = gen_frailty(6, 5, MEDIAN_FRAILTY, replicate_stream(5, 6, 5, 38))
+        assert fit_frailty(ds).tau2_hat == 0
+        monkeypatch.setattr(frailty, "_no_frailty_fit", indefinite)
+        _, _, hess, _ = indefinite(group_data(ds))
+        assert np.linalg.inv(-hess)[2, 2] > 0
+        assert not fit_frailty(ds).converged
+
     def test_hopeless_fit_fails_within_budget(self, monkeypatch):
         # the replicate whose likelihood diverges (see TestFit); every
         # likelihood or derivative evaluation is counted

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -145,3 +146,145 @@ class TestPowerJson:
         write_power_json(table, [], path)
         doc = json.loads(path.read_text())
         assert doc["rows"][0]["power"] == 100 / 3
+
+
+ANOVA_JSON = """\
+{
+  "params": {
+    "model": "anova",
+    "beta0": 0.3333333333333333,
+    "beta": -1.0986122886681098,
+    "tau2": 0.1111111111111111,
+    "sigma2": 1.0,
+    "sim": 500,
+    "alpha": 0.05
+  },
+  "rows": [
+    {
+      "n": 3,
+      "m": 2,
+      "N": 12,
+      "power": 33.333333333333336,
+      "convergence": 100.0,
+      "censoring": null
+    },
+    {
+      "n": 3,
+      "m": 3,
+      "N": 18,
+      "power": 66.66666666666667,
+      "convergence": 99.0,
+      "censoring": null
+    }
+  ],
+  "frontier": [],
+  "seed": 987654321
+}
+"""
+
+CENSORED_FRAILTY_JSON = """\
+{
+  "params": {
+    "model": "frailty",
+    "lambda": 0.2888113,
+    "nu": 1.0,
+    "beta": -1.0986122886681098,
+    "tau2": 0.1,
+    "censor": true,
+    "ct": 12.0,
+    "sim": 500,
+    "alpha": 0.05
+  },
+  "rows": [
+    {
+      "n": 3,
+      "m": 2,
+      "N": 12,
+      "power": 33.333333333333336,
+      "convergence": 100.0,
+      "censoring": 14.285714285714286
+    },
+    {
+      "n": 3,
+      "m": 3,
+      "N": 18,
+      "power": 66.66666666666667,
+      "convergence": 99.0,
+      "censoring": 9.090909090909092
+    }
+  ],
+  "frontier": [
+    [
+      3,
+      3
+    ]
+  ],
+  "seed": 987654321
+}
+"""
+
+UNCENSORED_FRAILTY_JSON = """\
+{
+  "params": {
+    "model": "frailty",
+    "lambda": 0.2888113,
+    "nu": 1.0,
+    "beta": -1.0986122886681098,
+    "tau2": 0.1,
+    "censor": false,
+    "ct": null,
+    "sim": 500,
+    "alpha": 0.05
+  },
+  "rows": [
+    {
+      "n": 3,
+      "m": 2,
+      "N": 12,
+      "power": 33.333333333333336,
+      "convergence": 100.0,
+      "censoring": 0.0
+    },
+    {
+      "n": 3,
+      "m": 3,
+      "N": 18,
+      "power": 66.66666666666667,
+      "convergence": 99.0,
+      "censoring": 0.0
+    }
+  ],
+  "frontier": [
+    [
+      3,
+      2
+    ],
+    [
+      3,
+      3
+    ]
+  ],
+  "seed": 987654321
+}
+"""
+
+
+def uncensored_frailty_table():
+    table = sample_table()
+    return replace(table, params=replace(table.params, censor=False, ct=None),
+                   rows=tuple(replace(r, censoring=0.0) for r in table.rows))
+
+
+class TestPowerJsonText:
+    # the exact bytes written: key order, indent=2 and the trailing newline
+    @pytest.mark.parametrize("make_table, frontier, text", [
+        (lambda: sample_table("anova"), [], ANOVA_JSON),
+        (sample_table, [(3, 3)], CENSORED_FRAILTY_JSON),
+        (uncensored_frailty_table, [(3, 2), (3, 3)], UNCENSORED_FRAILTY_JSON),
+    ], ids=["anova", "censored-frailty", "uncensored-frailty"])
+    def test_written_text_is_pinned(self, tmp_path, make_table, frontier, text):
+        table = make_table()
+        path = tmp_path / "t.json"
+        write_power_json(table, frontier, path)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert read_power_json(path) == (table, frontier)

@@ -107,6 +107,8 @@ class TestAnovaParams:
     @pytest.mark.parametrize("field, value", [
         ("beta0", float("nan")), ("beta", float("-inf")), ("tau2", float("inf")),
         ("sigma2", float("inf")),
+        # a nan fails the sign checks too, which used to report it first
+        ("tau2", float("nan")), ("sigma2", float("nan")),
     ])
     def test_non_finite_fields_rejected(self, field, value):
         kwargs = dict(beta0=0.0, beta=0.0, tau2=0.1, sigma2=1.0)
@@ -134,6 +136,7 @@ class TestFrailtyParams:
     @pytest.mark.parametrize("field, value", [
         ("lam", float("inf")), ("nu", float("inf")), ("beta", float("nan")),
         ("tau2", float("inf")),
+        ("lam", float("nan")), ("nu", float("nan")), ("tau2", float("nan")),
     ])
     def test_non_finite_fields_rejected(self, field, value):
         kwargs = dict(lam=0.3, nu=1.0, beta=0.0, tau2=0.2)
