@@ -2,14 +2,81 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
+
 import numpy as np
 
 from .datagen import SimulatedDataset
 from .types import PilotDataset
 
 
-def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (line_codes, tx, y, status) with line codes 0..k-1.
+@dataclass(frozen=True)
+class Design:
+    """What the fitters need of a dataset's line labels and treatment
+    column alone, shared read-only by every dataset with the same ones.
+
+    ``codes`` are the labels less their minimum, so ``k`` (the length of
+    ``sizes``) counts a gap in the labels as an empty line. ``sx`` holds
+    the per-line sums of tx. ``J`` is the common line size when every
+    line has J animals with tx summing to J/2, else None. ``member`` is
+    the (k, N) line indicator matrix and ``arm`` the (2, N) control and
+    treated indicators.
+    """
+
+    codes: np.ndarray
+    k: int
+    sizes: np.ndarray
+    sx: np.ndarray
+    Sx: float
+    Sxx: float
+    both_arms: bool
+    J: Optional[float]
+    member: np.ndarray
+    arm: np.ndarray
+
+
+def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
+    codes = labels.astype(np.int64, copy=False) - int(labels.min())
+    sizes = np.bincount(codes).astype(np.float64)
+    k = sizes.size
+    sx = np.bincount(codes, weights=tx, minlength=k)
+    sizes_list = sizes.tolist()
+    J = sizes_list[0]  # labels.min() has refused an empty design
+    if sizes_list.count(J) != k or sx.tolist().count(J / 2) != k:
+        J = None
+    arm = np.empty((2, tx.size))
+    np.subtract(1.0, tx, out=arm[0])
+    arm[1] = tx
+    member = (codes[None, :] == np.arange(k)[:, None]).astype(np.float64)
+    for array in (codes, sizes, sx, arm, member):
+        array.flags.writeable = False
+    return Design(codes=codes, k=k, sizes=sizes, sx=sx, Sx=float(tx.sum()), Sxx=float(tx @ tx),
+                  both_arms=bool(tx.min() != tx.max()), J=J, member=member, arm=arm)
+
+
+@lru_cache(maxsize=8)
+def _cached_design(labels: bytes, labels_dtype: np.dtype, labels_shape: tuple,
+                   tx: bytes, tx_dtype: np.dtype, tx_shape: tuple) -> Design:
+    # rebuilt from the key alone, so a record depends on nothing but content
+    return _build_design(np.frombuffer(labels, labels_dtype).reshape(labels_shape),
+                         np.frombuffer(tx, tx_dtype).reshape(tx_shape))
+
+
+def design_of(labels: np.ndarray, tx: np.ndarray) -> Design:
+    """The Design of line labels and a treatment column, memoized by their
+    bytes, dtypes and shapes: every replicate of a simulated design shares
+    one record."""
+    if labels.dtype.hasobject or tx.dtype.hasobject:
+        # the bytes of an object array are pointers, not content
+        return _build_design(labels, tx)
+    return _cached_design(labels.tobytes(), labels.dtype, labels.shape,
+                          tx.tobytes(), tx.dtype, tx.shape)
+
+
+def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray, np.ndarray]:
+    """Return (design, tx, y, status), the design's codes running from 0.
 
     Accepts a SimulatedDataset or a PilotDataset; pilot line ids are coded
     in order of first appearance, simulated ones as line_index - min. A
@@ -18,8 +85,8 @@ def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     uncopied when already float64, so callers must not write to them.
     """
     if isinstance(data, SimulatedDataset):
-        codes = data.line_index.astype(np.int64, copy=False) - int(data.line_index.min())
-        return codes, data.tx, data.y.astype(np.float64, copy=False), data.status
+        return (design_of(data.line_index, data.tx), data.tx,
+                data.y.astype(np.float64, copy=False), data.status)
     if isinstance(data, PilotDataset):
         order = {lid: k for k, lid in enumerate(data.line_ids())}
         codes = np.array([order[r.id] for r in data.rows], dtype=np.int64)
@@ -28,5 +95,5 @@ def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         status = np.array(
             [1.0 if r.status is None else float(r.status) for r in data.rows], dtype=np.float64
         )
-        return codes, tx, y, status
+        return design_of(codes, tx), tx, y, status
     raise TypeError(f"expected SimulatedDataset or PilotDataset, got {type(data).__name__}")

@@ -44,7 +44,19 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
     counter-based Philox generator, so any replicate can be regenerated in
     isolation and the stream never depends on execution order.
     """
-    ss = np.random.SeedSequence([int(seed), int(n), int(m), int(r)])
+    # the uint32 words SeedSequence([seed, n, m, r]) makes of the four ints:
+    # little-endian, one zero word for 0. Coercing the ints one by one costs
+    # SeedSequence more than hashing the words does.
+    words = []
+    for value in (int(seed), int(n), int(m), int(r)):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))
 
 

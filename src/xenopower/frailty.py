@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, wrightomega
 
-from ._data import as_arrays
+from ._data import Design, as_arrays
 from .types import FrailtyParams, _is_integer
 
 __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
@@ -101,25 +101,24 @@ def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _GroupData:
-    """Precomputed per-dataset quantities reused across likelihood calls."""
+    """Precomputed per-dataset quantities reused across likelihood calls;
+    the line and arm indicators come from the shared design record."""
 
     __slots__ = ("k", "logy", "tx", "d", "sum_dlogy", "sum_dtx", "n_events",
                  "arm", "events", "member", "basis")
 
-    def __init__(self, codes: np.ndarray, tx: np.ndarray, y: np.ndarray, delta: np.ndarray):
-        self.k = int(codes.max()) + 1
+    def __init__(self, design: Design, tx: np.ndarray, y: np.ndarray, delta: np.ndarray):
+        self.k = design.k
         self.logy = np.log(y)
         self.tx = tx
-        self.d = np.bincount(codes, weights=delta, minlength=self.k)
+        self.d = np.bincount(design.codes, weights=delta, minlength=self.k)
         self.sum_dlogy = float(delta @ self.logy)
         self.sum_dtx = float(delta @ tx)
         self.n_events = float(delta.sum())
         # control and treated arm indicators, and each arm's event count
-        self.arm = np.empty((2, tx.size))
-        np.subtract(1.0, tx, out=self.arm[0])
-        self.arm[1] = tx
+        self.arm = design.arm
         self.events = self.arm @ delta
-        self.member = (codes[None, :] == np.arange(self.k)[:, None]).astype(np.float64)
+        self.member = design.member
         # columns 1, log y, tx, (log y)^2, tx log y, tx^2
         logy = self.logy
         basis = self.basis = np.empty((logy.size, 6))
@@ -218,14 +217,14 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
     if not _is_integer(quad_points) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
-    codes, tx, y, status = as_arrays(data)
+    design, tx, y, status = as_arrays(data)
     if y.size == 0:
         raise ValueError("dataset is empty")
     x, logw = _hermite_nodes(int(quad_points))
     logtau = 0.5 * math.log(tau2) if tau2 > 0 else _LOG_TAU_FLOOR - 60.0
     with np.errstate(all="ignore"):
         value = _loglik_core(np.array([math.log(lam), math.log(nu), beta, logtau]),
-                             _GroupData(codes, tx, y, status), x, logw)
+                             _GroupData(design, tx, y, status), x, logw)
     if value == -math.inf:
         raise FloatingPointError("frailty likelihood evaluation diverged")
     return value
@@ -418,23 +417,32 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
         # within quadrature error of the optimum the value cannot confirm
         # an ascent, so a near-converged Newton step is taken in full
         near = definite and decrement <= _NEAR_DECREMENT
-        biggest = float(np.abs(direction).max())
+        # the trials' arithmetic on 4 numbers runs in Python floats: the
+        # steps round as numpy's elementwise operations do; the Armijo dot
+        # product may differ from a BLAS dot (which can fuse multiply-adds)
+        # in its last bit, far below the rounding of value + 1e-4 * dot
+        v0, v1, v2, v3 = direction.tolist()
+        biggest = max(abs(v0), abs(v1), abs(v2), abs(v3))
         if biggest > _MAX_STEP:
-            direction *= _MAX_STEP / biggest
+            scale = _MAX_STEP / biggest
+            v0, v1, v2, v3 = v0 * scale, v1 * scale, v2 * scale, v3 * scale
+        b0, b1, b2, b3 = p.tolist()
+        g0, g1, g2, g3 = score.tolist()
         step = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = p + step * direction
-            trial[3] = max(trial[3], _LOG_TAU_LOW)
+            t0, t1, t2 = b0 + step * v0, b1 + step * v1, b2 + step * v2
+            t3 = max(b3 + step * v3, _LOG_TAU_LOW)
+            trial = np.array([t0, t1, t2, t3])
             nxt = _loglik_derivs(trial, gd, x, logw)
-            if nxt is not None and (
-                near or nxt[0] >= value + _ARMIJO * float(score @ (trial - p))
-            ):
+            if nxt is not None and (near or nxt[0] >= value + _ARMIJO * (
+                g0 * (t0 - b0) + g1 * (t1 - b1) + g2 * (t2 - b2) + g3 * (t3 - b3)
+            )):
                 break
             step *= 0.5
         else:
             return None
         p, current = trial, nxt
-        if abs(p[1]) > _LOG_NU_MAX or p[3] > _LOG_TAU_MAX:
+        if abs(t1) > _LOG_NU_MAX or t3 > _LOG_TAU_MAX:
             return None
     return None
 
@@ -461,14 +469,14 @@ def fit_frailty(data) -> FrailtyFit:
     small (0.88 times the spread of beta_hat; size 0.075 at alpha 0.05
     with 3 lines x 3 animals per arm). See README, "Known limitations".
     """
-    codes, tx, y, status = as_arrays(data)
-    if codes.size == 0 or codes.min() == codes.max():
+    design, tx, y, status = as_arrays(data)
+    if design.k < 2:
         raise ValueError("fit requires at least 2 distinct lines")
 
     # the helpers set no errstate of their own: log(0) for a zero hazard and
     # overflowing trial iterates end at their finiteness checks
     with np.errstate(all="ignore"):
-        gd = _GroupData(codes, tx, y, status)
+        gd = _GroupData(design, tx, y, status)
         if not gd.events.all():
             # no information about the hazard ratio in one arm: never estimate
             return _NOT_CONVERGED

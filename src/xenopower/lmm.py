@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr
 
-from ._data import as_arrays
+from ._data import Design, as_arrays
 
 __all__ = ["LmmFit", "fit_lmm", "wald_test_lmm"]
 
@@ -65,20 +65,21 @@ _NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
 
 
 class _Sufficient:
-    """Per-line aggregates and whole-sample sums of one dataset; everything
-    either REML path needs. ``ni`` holds the line sizes."""
+    """Everything either REML path needs of one dataset: its design record
+    (line sizes, per-line and whole-sample tx sums, the balanced line
+    size) and the sums of its log outcomes."""
 
-    __slots__ = ("N", "k", "ni", "sx", "sy", "Sx", "Sxx", "Sy", "Syy", "Sxy")
+    __slots__ = ("N", "k", "ni", "sx", "sy", "Sx", "Sxx", "Sy", "Syy", "Sxy", "J")
 
-    def __init__(self, codes: np.ndarray, tx: np.ndarray, logy: np.ndarray, ni: np.ndarray):
-        k = ni.size
+    def __init__(self, design: Design, tx: np.ndarray, logy: np.ndarray):
         self.N = logy.size
-        self.k = k
-        self.ni = ni.astype(np.float64)
-        self.sx = np.bincount(codes, weights=tx, minlength=k)
-        self.sy = np.bincount(codes, weights=logy, minlength=k)
-        self.Sx = float(tx.sum())
-        self.Sxx = float(tx @ tx)
+        self.k = design.k
+        self.ni = design.sizes
+        self.sx = design.sx
+        self.Sx = design.Sx
+        self.Sxx = design.Sxx
+        self.J = design.J
+        self.sy = np.bincount(design.codes, weights=logy, minlength=design.k)
         self.Sy = float(logy.sum())
         self.Syy = float(logy @ logy)
         self.Sxy = float(tx @ logy)
@@ -129,9 +130,8 @@ def _balanced_fit(st: _Sufficient):
     range. Every line has the same weight c = theta/(1 + theta*J) in the
     profile, so each per-line dot product of _profile is c times a sum.
     """
-    sizes = st.ni.tolist()
-    N, k, J = st.N, st.k, sizes[0]
-    if sizes.count(J) != k or st.sx.tolist().count(J / 2) != k:
+    N, k, J = st.N, st.k, st.J
+    if J is None:
         return None
     Sy, Syy, Sxy, Sxx = st.Sy, st.Syy, st.Sxy, st.Sxx
     Q = float(st.sy @ st.sy)  # sum over lines of the squared line total of log y
@@ -163,18 +163,17 @@ def fit_lmm(data) -> LmmFit:
     internally. The test statistic beta_hat/se is referred to a Student-t
     distribution with df = N - lines - 1.
     """
-    codes, tx, y, _status = as_arrays(data)
-    ni = np.bincount(codes)  # line sizes; the codes run 0..k-1
-    if ni.size < 2:
+    design, tx, y, _status = as_arrays(data)
+    if design.k < 2:
         raise ValueError("fit requires at least 2 distinct lines")
     if y.size < 3:
         raise ValueError("fit requires at least 3 observations")
     if (y <= 0).any():
         raise ValueError("all outcomes must be positive")
-    if tx.min() == tx.max():
+    if not design.both_arms:
         raise ValueError("both treatment arms must be present")
 
-    st = _Sufficient(codes, tx, np.log(y), ni)
+    st = _Sufficient(design, tx, np.log(y))
     balanced = _balanced_fit(st)
     if balanced is not None:
         theta, (neg2, beta0, beta, sigma2, var_beta) = balanced
@@ -197,7 +196,7 @@ def fit_lmm(data) -> LmmFit:
     if not (math.isfinite(neg2) and var_beta > 0):
         return _NOT_CONVERGED
     se = math.sqrt(var_beta)
-    df = float(y.size - ni.size - 1)
+    df = float(y.size - design.k - 1)
     p = 2.0 * float(stdtr(df, -abs(beta / se)))
     return LmmFit(
         beta0_hat=float(beta0),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,15 @@ def arm_means_log(ds) -> float:
     """Difference in arm means of log y (treated minus control)."""
     logy = np.log(ds.y)
     return float(logy[ds.tx == 1].mean() - logy[ds.tx == 0].mean())
+
+
+def arithmetic_fingerprint(pairs) -> str:
+    """sha256 of what numpy's exp, log and BLAS dot products contribute to
+    REML fits of the given (tx, y) arrays before scalar arithmetic takes
+    over: y itself, log y and its sums with tx. A digest of fits frozen on
+    one platform pins bit-identity only where this matches as well."""
+    h = hashlib.sha256()
+    for tx, y in pairs:
+        logy = np.log(y)
+        h.update(np.concatenate([y, logy, [logy.sum(), logy @ logy, tx @ logy, tx @ tx]]).tobytes())
+    return h.hexdigest()

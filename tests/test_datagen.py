@@ -5,7 +5,11 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.stats import kstest
 
-from xenopower.datagen import gen_anova, gen_frailty, replicate_stream
+from conftest import arithmetic_fingerprint
+from xenopower import _data
+from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
+from xenopower.datasets import pilot_uncensored
+from xenopower.lmm import fit_lmm
 from xenopower.types import AnovaParams, FrailtyParams
 
 
@@ -36,6 +40,17 @@ class TestReproducibility:
         b = gen_frailty(4, 3, p, replicate_stream(99, 4, 3, 7))
         assert a.y.tobytes() == b.y.tobytes()
         assert np.array_equal(a.status, b.status)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1])
+    def test_stream_matches_the_list_seed_sequence(self, seed):
+        # the words replicate_stream builds are the ones SeedSequence makes
+        # of the four Python ints
+        for r in (0, 31, 32, 499):
+            got = replicate_stream(seed, 6, 5, r).bit_generator
+            ref = np.random.Philox(np.random.SeedSequence([seed, 6, 5, r]))
+            # the repr spells out every array of the state in full
+            assert repr(got.state) == repr(ref.state)
+            assert np.array_equal(got.random_raw(8), ref.random_raw(8))
 
     def test_replicates_differ(self):
         p = anova_params()
@@ -145,3 +160,84 @@ class TestFrailtyDistribution:
         trt = ds.y[ds.tx == 1]
         assert float(ctl.mean()) == pytest.approx(1.0 / 0.3, rel=0.02)
         assert float(trt.mean()) == pytest.approx(1.0 / (0.3 * np.exp(-0.7)), rel=0.02)
+
+
+def fresh_design(labels, tx):
+    """The design record's fields, computed line by line."""
+    codes = [int(v) - int(min(labels)) for v in labels]
+    k = max(codes) + 1
+    sizes = [float(codes.count(i)) for i in range(k)]
+    sx = [0.0] * k
+    for c, t in zip(codes, tx):
+        sx[c] += float(t)
+    balanced = len(set(sizes)) == 1 and all(s == sizes[0] / 2 for s in sx)
+    return dict(
+        codes=codes, k=k, sizes=sizes, sx=sx, Sx=float(sum(tx)),
+        Sxx=float(sum(t * t for t in tx)), both_arms=min(tx) != max(tx),
+        J=sizes[0] if balanced else None,
+        member=[[float(c == i) for c in codes] for i in range(k)],
+        arm=[[1.0 - float(t) for t in tx], [float(t) for t in tx]],
+    )
+
+
+# unsorted labels with gaps (lines 4-6 and 8-11 are empty) and a float tx
+USER_BUILT = SimulatedDataset(
+    line_index=np.array([7, 3, 12, 7, 3, 12, 3, 7, 12, 3, 7, 12]),
+    tx=np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0]),
+    y=np.array([2.5, 1.5, 4.75, 6.5, 1.25, 9.0, 2.5, 2.0, 5.25, 1.0, 5.5, 11.0]),
+    status=np.ones(12, dtype=np.int64),
+)
+
+
+class TestDesignRecord:
+    # the numpy arithmetic USER_BUILT's frozen fit was computed on
+    ARITHMETIC = "a8ee61655ae0b35041802752401bdd5d18ab6ea1ae1c3e87f99ac084d385a7a5"
+
+    @pytest.mark.parametrize("source", ["generated", "user_built", "pilot"])
+    def test_fields_match_a_fresh_computation(self, source):
+        data = {"generated": gen_anova(4, 3, anova_params(), replicate_stream(5, 4, 3, 0)),
+                "user_built": USER_BUILT, "pilot": pilot_uncensored()}[source]
+        design, tx, _, _ = _data.as_arrays(data)
+        labels = data.line_index if source != "pilot" else design.codes
+        expected = fresh_design(labels.tolist(), tx.tolist())
+        for name, value in expected.items():
+            got = getattr(design, name)
+            if isinstance(got, np.ndarray):
+                assert not got.flags.writeable, name
+                assert got.tolist() == value, name
+            else:
+                assert got == value and type(got) is type(value), name
+        if source == "generated":
+            assert design.J == 6.0
+
+    def test_every_replicate_of_a_design_shares_one_record(self):
+        a = gen_anova(4, 3, anova_params(), replicate_stream(5, 4, 3, 0))
+        b = gen_anova(4, 3, anova_params(), replicate_stream(5, 4, 3, 1))
+        assert _data.as_arrays(a)[0] is _data.as_arrays(b)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            _data.as_arrays(a)[0].sizes[0] = 1.0
+
+    def test_same_bytes_with_another_dtype_or_shape_is_another_design(self):
+        labels, tx = USER_BUILT.line_index, USER_BUILT.tx
+        design = _data.design_of(labels, tx)
+        unsigned = _data.design_of(labels.view(np.uint64), tx)
+        assert unsigned is not design
+        assert unsigned.codes.tolist() == design.codes.tolist()
+        # 0/1 int64 words read as float64 are 0 and the smallest subnormal
+        as_float = _data.design_of(labels, np.array([0, 1] * 6).view(np.float64))
+        assert as_float.sx.tolist() != design.sx.tolist()
+        assert as_float.Sx == 6 * 5e-324
+        # a column of the same bytes is not served the 1-d record
+        with pytest.raises(ValueError):
+            _data.design_of(labels, tx.reshape(-1, 1))
+
+    def test_user_built_dataset_fits_as_before(self):
+        # fit_lmm's output at commit 76855a0; the gaps count as empty lines in df
+        frozen = ("LmmFit(beta0_hat=0.8414923597330625, beta_hat=0.7407453001430886, "
+                  "se_beta=0.11503728171079179, tau2_hat=0.6090434594894573, "
+                  "sigma2_hat=0.03970072855022422, df=1.0, p_value=0.09808314096655477, "
+                  "converged=True, log_restricted_likelihood=-3.982195534818339)")
+        fit = repr(fit_lmm(USER_BUILT))
+        if arithmetic_fingerprint([(USER_BUILT.tx, USER_BUILT.y)]) != self.ARITHMETIC:
+            pytest.skip("numpy's log or BLAS dot rounds differently on this platform")
+        assert fit == frozen

@@ -272,8 +272,8 @@ class TestLoglik:
         params = (0.0154, 2.1722, -0.8794, 0.0422)
         from xenopower._data import as_arrays
 
-        codes, tx, y, status = as_arrays(pilot_survival)
-        oracle = trapezoid_loglik(*params, codes, tx, y, status)
+        design, tx, y, status = as_arrays(pilot_survival)
+        oracle = trapezoid_loglik(*params, design.codes, tx, y, status)
         assert frailty_loglik(params, pilot_survival) == pytest.approx(oracle, abs=1e-6)
 
     def test_quadrature_stable_in_node_count(self, pilot_survival):

@@ -129,6 +129,23 @@ class TestPowerJson:
         assert table2 == table
         assert frontier2 == []
 
+    def test_foreign_model_tag_is_a_validation_error(self, tmp_path):
+        doc = power_json_dict(sample_table(), [(3, 3)])
+        doc["params"]["model"] = "cox"
+        path = tmp_path / "cox.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError, match="unknown model 'cox'"):
+            read_power_json(path)
+
+    @pytest.mark.parametrize("part, key", [("params", "lambda"), ("row", "power"), ("doc", "seed")])
+    def test_missing_key_is_a_validation_error(self, tmp_path, part, key):
+        doc = power_json_dict(sample_table(), [(3, 3)])
+        del {"params": doc["params"], "row": doc["rows"][0], "doc": doc}[part][key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"has no key '{key}'"):
+            read_power_json(path)
+
     def test_schema_shape(self):
         doc = power_json_dict(sample_table(), [(3, 3)])
         assert set(doc) == {"params", "rows", "frontier", "seed"}

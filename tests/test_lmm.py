@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import arm_means_log
+from conftest import arithmetic_fingerprint, arm_means_log
 from xenopower import lmm
 from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_anova, replicate_stream
+from xenopower.datasets import pilot_censored, pilot_uncensored
 from xenopower.lmm import fit_lmm, wald_test_lmm
 from xenopower.types import AnovaParams, PilotDataset, PilotRecord
 
@@ -111,8 +113,8 @@ def search_fit(monkeypatch, data):
 
 
 def sufficient(data):
-    codes, tx, y, _status = as_arrays(data)
-    return lmm._Sufficient(codes, tx, np.log(y), np.bincount(codes))
+    design, tx, y, _status = as_arrays(data)
+    return lmm._Sufficient(design, tx, np.log(y))
 
 
 def closed_form_theta(ds):
@@ -241,6 +243,28 @@ class TestBalancedClosedForm:
         beta0, beta = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
         exact = (Syy - c * Q - (b0 * beta0 + b1 * beta)) / (N - 2)
         assert abs(Fraction(sigma2) - exact) / exact <= Fraction(6e-11)
+
+
+class TestFrozenFits:
+    # sha256 of every LmmFit repr below, as the fits of commit 76855a0 give
+    # them, and of the numpy arithmetic those fits were frozen on
+    FITS = "978ed92b7cbe52842de41c4a3c3402e7c489d4e197e135d5fdee0b3c07e5869c"
+    ARITHMETIC = "cd4aec4da2c6ae8cce311d8b8bb1d6c4fdcc83a65330720975bae4b77f194ff4"
+
+    def test_fits_match_the_frozen_digest(self):
+        # the pilot's REML estimates, pinned
+        params = AnovaParams(beta0=0.0653407599544963, beta=0.7299459629833942,
+                             tau2=0.03319570410322243, sigma2=0.38597141190287104)
+        datasets = [gen_anova(n, m, params, replicate_stream(20261017, n, m, r))
+                    for n in range(2, 11) for m in range(1, 9) for r in range(60)]
+        datasets += [pilot_uncensored(), pilot_censored()]
+        digest = hashlib.sha256()
+        for ds in datasets:
+            digest.update(repr(fit_lmm(ds)).encode())
+        arrays = (as_arrays(ds) for ds in datasets)
+        if arithmetic_fingerprint((tx, y) for _, tx, y, _ in arrays) != self.ARITHMETIC:
+            pytest.skip("numpy's exp, log or BLAS dot rounds differently on this platform")
+        assert digest.hexdigest() == self.FITS
 
 
 class TestRouting:
