@@ -17,20 +17,21 @@ class Design:
     """What the fitters need of a dataset's line labels and treatment
     column alone, shared read-only by every dataset with the same ones.
 
-    ``codes`` are the labels less their minimum, so ``k`` (the length of
-    ``sizes``) counts a gap in the labels as an empty line. ``sx`` holds
-    the per-line sums of tx. ``J`` is the common line size when every
-    line has J animals with tx summing to J/2, else None. ``member`` is
-    the (k, N) line indicator matrix and ``arm`` the (2, N) control and
-    treated indicators.
+    ``codes`` number the lines 0..k-1 in order of first appearance, so
+    ``k`` (the length of ``sizes``) is the number of distinct labels.
+    ``tx`` is the treatment column as float64, checked to be 0/1, and is
+    the treated row of ``arm``, the (2, N) control and treated indicators.
+    ``sx`` holds the per-line sums of tx. ``J`` is the common line size
+    when every line has J animals with tx summing to J/2, else None.
+    ``member`` is the (k, N) line indicator matrix.
     """
 
     codes: np.ndarray
     k: int
     sizes: np.ndarray
+    tx: np.ndarray
     sx: np.ndarray
     Sx: float
-    Sxx: float
     both_arms: bool
     J: Optional[float]
     member: np.ndarray
@@ -38,21 +39,26 @@ class Design:
 
 
 def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
-    codes = labels.astype(np.int64, copy=False) - int(labels.min())
+    if not labels.size:
+        raise ValueError("dataset is empty")
+    arm = np.array((1.0 - tx, tx), dtype=np.float64)
+    tx = arm[1]
+    if not np.isin(tx, (0.0, 1.0)).all():
+        raise ValueError("tx must be 0 or 1 for every animal")
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    k = first.size
+    # each distinct label's code is the rank of its first index
+    codes = np.argsort(np.argsort(first))[inverse]
     sizes = np.bincount(codes).astype(np.float64)
-    k = sizes.size
     sx = np.bincount(codes, weights=tx, minlength=k)
     sizes_list = sizes.tolist()
-    J = sizes_list[0]  # labels.min() has refused an empty design
+    J = sizes_list[0]
     if sizes_list.count(J) != k or sx.tolist().count(J / 2) != k:
         J = None
-    arm = np.empty((2, tx.size))
-    np.subtract(1.0, tx, out=arm[0])
-    arm[1] = tx
     member = (codes[None, :] == np.arange(k)[:, None]).astype(np.float64)
-    for array in (codes, sizes, sx, arm, member):
+    for array in (codes, sizes, tx, sx, arm, member):
         array.flags.writeable = False
-    return Design(codes=codes, k=k, sizes=sizes, sx=sx, Sx=float(tx.sum()), Sxx=float(tx @ tx),
+    return Design(codes=codes, k=k, sizes=sizes, tx=tx, sx=sx, Sx=float(tx.sum()),
                   both_arms=bool(tx.min() != tx.max()), J=J, member=member, arm=arm)
 
 
@@ -75,25 +81,25 @@ def design_of(labels: np.ndarray, tx: np.ndarray) -> Design:
                           tx.tobytes(), tx.dtype, tx.shape)
 
 
-def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (design, tx, y, status), the design's codes running from 0.
+def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
+    """Return (design, y, status) for a SimulatedDataset or a PilotDataset.
 
-    Accepts a SimulatedDataset or a PilotDataset; pilot line ids are coded
-    in order of first appearance, simulated ones as line_index - min. A
-    SimulatedDataset's tx and status come back as stored (0/1 integers for
-    generated data; the fitters' arithmetic promotes them), and its y is
-    uncopied when already float64, so callers must not write to them.
+    Either container's lines are numbered by first appearance, and its tx
+    is checked and held by the design. A SimulatedDataset's status comes
+    back as stored (0/1 integers for generated data; the fitters'
+    arithmetic promotes them), and its y is uncopied when already float64,
+    so callers must not write to them.
     """
     if isinstance(data, SimulatedDataset):
-        return (design_of(data.line_index, data.tx), data.tx,
+        return (design_of(data.line_index, data.tx),
                 data.y.astype(np.float64, copy=False), data.status)
     if isinstance(data, PilotDataset):
-        order = {lid: k for k, lid in enumerate(data.line_ids())}
-        codes = np.array([order[r.id] for r in data.rows], dtype=np.int64)
+        # an object array, since a fixed-width string array drops trailing NULs
+        ids = np.array([r.id for r in data.rows], dtype=object)
         tx = np.array([r.tx for r in data.rows], dtype=np.float64)
         y = np.array([r.y for r in data.rows], dtype=np.float64)
         status = np.array(
             [1.0 if r.status is None else float(r.status) for r in data.rows], dtype=np.float64
         )
-        return design_of(codes, tx), tx, y, status
+        return design_of(ids, tx), y, status
     raise TypeError(f"expected SimulatedDataset or PilotDataset, got {type(data).__name__}")

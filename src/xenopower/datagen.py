@@ -22,9 +22,10 @@ __all__ = ["SimulatedDataset", "replicate_stream", "gen_anova", "gen_frailty"]
 class SimulatedDataset:
     """One simulated experiment, stored as flat per-animal arrays.
 
-    line_index runs 1..n; tx is 0/1; status is 1 for an observed event and
-    0 for an administratively censored record (whose y equals the
-    censoring time exactly).
+    Any line labels are accepted (generated data use 1..n); the fitters
+    number lines by first appearance. tx must be 0/1, checked at fit time.
+    status is 1 for an observed event and 0 for an administratively
+    censored record (whose y equals the censoring time exactly).
     """
 
     line_index: np.ndarray

@@ -101,33 +101,29 @@ def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _GroupData:
-    """Precomputed per-dataset quantities reused across likelihood calls;
-    the line and arm indicators come from the shared design record."""
+    """Precomputed per-dataset quantities reused across likelihood calls,
+    beside the shared design record that holds the lines, arms and tx."""
 
-    __slots__ = ("k", "logy", "tx", "d", "sum_dlogy", "sum_dtx", "n_events",
-                 "arm", "events", "member", "basis")
+    __slots__ = ("design", "logy", "d", "sum_dlogy", "n_events", "events", "basis")
 
-    def __init__(self, design: Design, tx: np.ndarray, y: np.ndarray, delta: np.ndarray):
-        self.k = design.k
-        self.logy = np.log(y)
-        self.tx = tx
-        self.d = np.bincount(design.codes, weights=delta, minlength=self.k)
-        self.sum_dlogy = float(delta @ self.logy)
-        self.sum_dtx = float(delta @ tx)
+    def __init__(self, design: Design, y: np.ndarray, delta: np.ndarray):
+        self.design = design
+        tx = design.tx
+        logy = self.logy = np.log(y)
+        self.d = np.bincount(design.codes, weights=delta, minlength=design.k)
+        self.sum_dlogy = float(delta @ logy)
         self.n_events = float(delta.sum())
-        # control and treated arm indicators, and each arm's event count
-        self.arm = design.arm
-        self.events = self.arm @ delta
-        self.member = design.member
-        # columns 1, log y, tx, (log y)^2, tx log y, tx^2
-        logy = self.logy
+        # each arm's event count; the treated arm's is sum(delta tx)
+        self.events = design.arm @ delta
+        # columns 1, log y, tx, (log y)^2, tx log y, tx^2 = tx: BLAS products
+        # over the sums round column 5 unlike column 2, so it keeps its own
         basis = self.basis = np.empty((logy.size, 6))
         basis[:, 0] = 1.0
         basis[:, 1] = logy
         basis[:, 2] = tx
         np.multiply(logy, logy, out=basis[:, 3])
         np.multiply(logy, tx, out=basis[:, 4])
-        np.multiply(tx, tx, out=basis[:, 5])
+        basis[:, 5] = tx
 
 
 def _hazard_sums(p: np.ndarray, gd: _GroupData):
@@ -137,15 +133,16 @@ def _hazard_sums(p: np.ndarray, gd: _GroupData):
     where it overflows. Also returns nu and the event part of the log-likelihood."""
     loglam, lognu, beta = p[0], p[1], p[2]
     nu = math.exp(lognu)
-    cum = np.exp(loglam + nu * gd.logy + beta * gd.tx)
+    design = gd.design
+    cum = np.exp(loglam + nu * gd.logy + beta * design.tx)
     # an infinite or nan hazard reaches every line's sums (0 * inf is nan)
-    sums = gd.member @ (cum[:, None] * gd.basis)
+    sums = design.member @ (cum[:, None] * gd.basis)
     if not np.isfinite(sums).all():
         return None
     # d/d(log nu) of exp(nu log y) brings down nu log y
     sums *= np.array([1.0, nu, 1.0, nu * nu, nu, 1.0])
     sums[:, 3] += sums[:, 1]
-    k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.sum_dtx
+    k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.events[1]
     return sums, nu, k_total
 
 
@@ -217,14 +214,12 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
     if not _is_integer(quad_points) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
-    design, tx, y, status = as_arrays(data)
-    if y.size == 0:
-        raise ValueError("dataset is empty")
+    design, y, status = as_arrays(data)
     x, logw = _hermite_nodes(int(quad_points))
     logtau = 0.5 * math.log(tau2) if tau2 > 0 else _LOG_TAU_FLOOR - 60.0
     with np.errstate(all="ignore"):
         value = _loglik_core(np.array([math.log(lam), math.log(nu), beta, logtau]),
-                             _GroupData(design, tx, y, status), x, logw)
+                             _GroupData(design, y, status), x, logw)
     if value == -math.inf:
         raise FloatingPointError("frailty likelihood evaluation diverged")
     return value
@@ -260,9 +255,9 @@ def _loglik_derivs(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarra
     out = np.empty(20)
     score, hess = out[:4], out[4:].reshape(4, 4)
     # the event part's score: D, D + nu * sum(delta log y), sum(delta tx)
-    score[:3] = (gd.n_events, gd.n_events + nu * gd.sum_dlogy, gd.sum_dtx)
+    score[:3] = (gd.n_events, gd.n_events + nu * gd.sum_dlogy, gd.events[1])
     score[:3] -= e_sums[:3]
-    score[3] = q1 - gd.k
+    score[3] = q1 - gd.design.k
     hess[:3, :3] = grad_a.T @ (cov[:, 0, :1] * grad_a) - e_sums[_SECOND]
     hess[1, 1] += nu * gd.sum_dlogy
     hess[3, :3] = hess[:3, 3] = -(cov[:, 0, 1] @ grad_a)
@@ -283,11 +278,12 @@ def _no_frailty_fit(gd: _GroupData):
     (p, log-likelihood, Hessian, tau2-score at tau2 = 0), or None when
     the root lies outside the box |log nu| <= log 50.
     """
-    treated = gd.tx == 1
+    arm = gd.design.arm
+    treated = gd.design.tx == 1
     tops = np.array([gd.logy[~treated].max(), gd.logy[treated].max()])
     centred = gd.logy - tops[treated.astype(np.int64)]
     # rows: each arm's indicator times 1, log y - top, (log y - top)^2
-    powers = np.concatenate((gd.arm, gd.arm * centred, gd.arm * centred * centred))
+    powers = np.concatenate((arm, arm * centred, arm * centred * centred))
     top0, top1 = tops.tolist()
     d0, d1 = gd.events.tolist()
     n_events, sum_dlogy = gd.n_events, gd.sum_dlogy
@@ -469,14 +465,14 @@ def fit_frailty(data) -> FrailtyFit:
     small (0.88 times the spread of beta_hat; size 0.075 at alpha 0.05
     with 3 lines x 3 animals per arm). See README, "Known limitations".
     """
-    design, tx, y, status = as_arrays(data)
+    design, y, status = as_arrays(data)
     if design.k < 2:
         raise ValueError("fit requires at least 2 distinct lines")
 
     # the helpers set no errstate of their own: log(0) for a zero hazard and
     # overflowing trial iterates end at their finiteness checks
     with np.errstate(all="ignore"):
-        gd = _GroupData(design, tx, y, status)
+        gd = _GroupData(design, y, status)
         if not gd.events.all():
             # no information about the hazard ratio in one arm: never estimate
             return _NOT_CONVERGED
@@ -513,7 +509,7 @@ def fit_frailty(data) -> FrailtyFit:
     return FrailtyFit(lambda_hat=math.exp(float(point[0])), nu_hat=math.exp(float(point[1])),
                       beta_hat=beta, se_beta=se, tau2_hat=tau2_hat,
                       p_value=2.0 * float(ndtr(-abs(beta / se))), converged=True,
-                      log_likelihood=log_likelihood)
+                      log_likelihood=float(log_likelihood))
 
 
 def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:

@@ -72,15 +72,23 @@ def _parse_binary(text: str) -> int:
     return int(value)
 
 
+# the power-table CSV's columns as (header, PowerRow field, type); the
+# last, censoring_pct, is written only for a table with censoring
+_CSV_COLUMNS = (("n", "n", int), ("m", "m", int), ("N", "total_animals", int),
+                ("power_pct", "power", float), ("convergence_pct", "convergence", float),
+                ("censoring_pct", "censoring", float))
+
+
+def _csv_columns(with_censoring: bool):
+    return _CSV_COLUMNS if with_censoring else _CSV_COLUMNS[:-1]
+
+
 def power_csv_text(table: PowerTable) -> str:
     """Render a power table as CSV text with full-precision numbers."""
-    with_cens = table.has_censoring
-    lines = ["n,m,N,power_pct,convergence_pct" + (",censoring_pct" if with_cens else "")]
+    columns = _csv_columns(table.has_censoring)
+    lines = [",".join(header for header, _, _ in columns)]
     for r in table.rows:
-        cells = [str(r.n), str(r.m), str(r.total_animals), repr(r.power), repr(r.convergence)]
-        if with_cens:
-            cells.append(repr(r.censoring))
-        lines.append(",".join(cells))
+        lines.append(",".join(repr(kind(getattr(r, name))) for _, name, kind in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -92,19 +100,9 @@ def read_power_csv(path) -> List[PowerRow]:
     """Read rows written by write_power_csv back at full precision."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(
-                PowerRow(
-                    n=int(rec["n"]),
-                    m=int(rec["m"]),
-                    total_animals=int(rec["N"]),
-                    power=float(rec["power_pct"]),
-                    convergence=float(rec["convergence_pct"]),
-                    censoring=float(rec["censoring_pct"]) if "censoring_pct" in rec else None,
-                )
-            )
-    return rows
+        columns = _csv_columns("censoring_pct" in (reader.fieldnames or ()))
+        return [PowerRow(**{name: kind(rec[header]) for header, name, kind in columns})
+                for rec in reader]
 
 
 # JSON keys that differ from the names of the dataclass fields they hold

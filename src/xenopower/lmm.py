@@ -11,16 +11,17 @@ to the single parameter theta. Under balance (every line with the same
 number of animals, half of them treated) the treatment contrast is
 orthogonal to the lines and the REML theta is the ANOVA mean-squares
 estimate (Searle, Casella & McCulloch, Variance Components, 1992, ch. 4),
-so simulated designs get it in closed form. Both paths read one container
-of per-line and whole-sample sums. Every line of a balanced design has
-the same weight in the profile, so its fit needs only the line and arm
-counts and five running sums (sum log y, sum (log y)^2, sum tx*log y,
-sum tx^2 and the sum of squared line totals of log y), then scalar
-arithmetic. Unbalanced data, such as a pilot with a lost animal, get the
-general per-line profile and a bounded one-dimensional search over
-log theta, with the boundary theta = 0 always evaluated as a candidate;
-that path is also the reference the balanced one is tested against.
-Either way tau2_hat = 0 is a legal estimate.
+so simulated designs get it in closed form. Both paths read the design
+record, whose tx is checked to be 0/1, and one container of sums of
+log y. Every line of a balanced design has the same weight in the
+profile, so its fit needs only the line and arm counts and four running
+sums (sum log y, sum (log y)^2, sum tx*log y and the sum of squared line
+totals of log y), then scalar arithmetic. Unbalanced data, such as a
+pilot with a lost animal, get the general per-line profile and a bounded
+one-dimensional search over log theta, with the boundary theta = 0
+always evaluated as a candidate; that path is also the reference the
+balanced one is tested against. Either way tau2_hat = 0 is a legal
+estimate.
 """
 
 from __future__ import annotations
@@ -66,23 +67,17 @@ _NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
 
 class _Sufficient:
     """Everything either REML path needs of one dataset: its design record
-    (line sizes, per-line and whole-sample tx sums, the balanced line
-    size) and the sums of its log outcomes."""
+    and the sums of its log outcomes (per line, in all, of squares and
+    against tx)."""
 
-    __slots__ = ("N", "k", "ni", "sx", "sy", "Sx", "Sxx", "Sy", "Syy", "Sxy", "J")
+    __slots__ = ("design", "sy", "Sy", "Syy", "Sxy")
 
-    def __init__(self, design: Design, tx: np.ndarray, logy: np.ndarray):
-        self.N = logy.size
-        self.k = design.k
-        self.ni = design.sizes
-        self.sx = design.sx
-        self.Sx = design.Sx
-        self.Sxx = design.Sxx
-        self.J = design.J
+    def __init__(self, design: Design, logy: np.ndarray):
+        self.design = design
         self.sy = np.bincount(design.codes, weights=logy, minlength=design.k)
         self.Sy = float(logy.sum())
         self.Syy = float(logy @ logy)
-        self.Sxy = float(tx @ logy)
+        self.Sxy = float(design.tx @ logy)
 
 
 def _profile(theta: float, st: _Sufficient):
@@ -90,15 +85,18 @@ def _profile(theta: float, st: _Sufficient):
 
     Returns (-2 * restricted log-likelihood, beta0, beta, sigma2, var_beta).
     """
-    ci = theta / (1.0 + theta * st.ni)
-    a00 = st.N - float(ci @ (st.ni * st.ni))
-    a01 = st.Sx - float(ci @ (st.ni * st.sx))
-    a11 = st.Sxx - float(ci @ (st.sx * st.sx))
-    b0 = st.Sy - float(ci @ (st.ni * st.sy))
-    b1 = st.Sxy - float(ci @ (st.sx * st.sy))
+    design = st.design
+    N, ni, sx, Sx = design.codes.size, design.sizes, design.sx, design.Sx
+    ci = theta / (1.0 + theta * ni)
+    a00 = N - float(ci @ (ni * ni))
+    a01 = Sx - float(ci @ (ni * sx))
+    # sum tx^2 = sum tx for 0/1 coding
+    a11 = Sx - float(ci @ (sx * sx))
+    b0 = st.Sy - float(ci @ (ni * st.sy))
+    b1 = st.Sxy - float(ci @ (sx * st.sy))
     ytwy = st.Syy - float(ci @ (st.sy * st.sy))
-    logdet_v0 = float(np.sum(np.log1p(theta * st.ni)))
-    return _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, st.N, st.Syy)
+    logdet_v0 = float(np.sum(np.log1p(theta * ni)))
+    return _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, st.Syy)
 
 
 def _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, Syy):
@@ -130,14 +128,14 @@ def _balanced_fit(st: _Sufficient):
     range. Every line has the same weight c = theta/(1 + theta*J) in the
     profile, so each per-line dot product of _profile is c times a sum.
     """
-    N, k, J = st.N, st.k, st.J
+    N, k, J = st.design.codes.size, st.design.k, st.design.J
     if J is None:
         return None
-    Sy, Syy, Sxy, Sxx = st.Sy, st.Syy, st.Sxy, st.Sxx
+    Sy, Syy, Sxy = st.Sy, st.Syy, st.Sxy
     Q = float(st.sy @ st.sy)  # sum over lines of the squared line total of log y
     ssl = Q / J
-    # within-line spread of tx around its line mean of 1/2 (N/4 for 0/1 coding)
-    sxx_w = Sxx - N / 4.0
+    # within-line spread of 0/1 tx around its line mean of 1/2
+    sxx_w = N / 4.0
     msw = (Syy - ssl - (Sxy - Sy / 2.0) ** 2 / sxx_w) / (N - k - 1)
     msb = (ssl - Sy * Sy / N) / (k - 1)
     theta = (msb - msw) / (J * msw) if msw > 0 else _THETA_HI
@@ -147,7 +145,7 @@ def _balanced_fit(st: _Sufficient):
     cJ = c * J
     # 1 - cJ = 1/d, which cancels when formed as a difference at large theta
     a00 = N / d
-    a11 = Sxx - cJ * N / 4.0
+    a11 = N / 2.0 - cJ * N / 4.0
     b0 = Sy / d
     b1 = Sxy - cJ * Sy / 2.0
     ytwy = Syy - c * Q
@@ -163,7 +161,7 @@ def fit_lmm(data) -> LmmFit:
     internally. The test statistic beta_hat/se is referred to a Student-t
     distribution with df = N - lines - 1.
     """
-    design, tx, y, _status = as_arrays(data)
+    design, y, _status = as_arrays(data)
     if design.k < 2:
         raise ValueError("fit requires at least 2 distinct lines")
     if y.size < 3:
@@ -173,7 +171,7 @@ def fit_lmm(data) -> LmmFit:
     if not design.both_arms:
         raise ValueError("both treatment arms must be present")
 
-    st = _Sufficient(design, tx, np.log(y))
+    st = _Sufficient(design, np.log(y))
     balanced = _balanced_fit(st)
     if balanced is not None:
         theta, (neg2, beta0, beta, sigma2, var_beta) = balanced

@@ -90,8 +90,8 @@ class TestCriterion3PilotFrailty:
         est = (fit.lambda_hat, fit.nu_hat, fit.beta_hat, fit.tau2_hat)
         # brute-force trapezoid oracle at a frailty-bearing reference point
         ref = (0.0154, 2.1722, -0.8794, 0.0422)
-        design, tx, y, status = as_arrays(pilot_survival)
-        oracle = trapezoid_loglik(*ref, design.codes, tx, y, status)
+        design, y, status = as_arrays(pilot_survival)
+        oracle = trapezoid_loglik(*ref, design.codes, design.tx, y, status)
         quad = frailty_loglik(ref, pilot_survival)
         ok = (
             fit.converged

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.stats import kstest
 
-from conftest import arithmetic_fingerprint
 from xenopower import _data
 from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
 from xenopower.datasets import pilot_uncensored
+from xenopower.frailty import fit_frailty, frailty_loglik
 from xenopower.lmm import fit_lmm
-from xenopower.types import AnovaParams, FrailtyParams
+from xenopower.types import AnovaParams, FrailtyParams, PilotDataset, PilotRecord
 
 
 def anova_params(**over):
@@ -164,23 +166,24 @@ class TestFrailtyDistribution:
 
 def fresh_design(labels, tx):
     """The design record's fields, computed line by line."""
-    codes = [int(v) - int(min(labels)) for v in labels]
-    k = max(codes) + 1
+    order = list(dict.fromkeys(labels))
+    codes = [order.index(v) for v in labels]
+    k = len(order)
     sizes = [float(codes.count(i)) for i in range(k)]
     sx = [0.0] * k
     for c, t in zip(codes, tx):
         sx[c] += float(t)
     balanced = len(set(sizes)) == 1 and all(s == sizes[0] / 2 for s in sx)
     return dict(
-        codes=codes, k=k, sizes=sizes, sx=sx, Sx=float(sum(tx)),
-        Sxx=float(sum(t * t for t in tx)), both_arms=min(tx) != max(tx),
+        codes=codes, k=k, sizes=sizes, tx=[float(t) for t in tx], sx=sx, Sx=float(sum(tx)),
+        both_arms=min(tx) != max(tx),
         J=sizes[0] if balanced else None,
         member=[[float(c == i) for c in codes] for i in range(k)],
         arm=[[1.0 - float(t) for t in tx], [float(t) for t in tx]],
     )
 
 
-# unsorted labels with gaps (lines 4-6 and 8-11 are empty) and a float tx
+# unsorted labels with gaps (three lines, labelled 3, 7 and 12) and a float tx
 USER_BUILT = SimulatedDataset(
     line_index=np.array([7, 3, 12, 7, 3, 12, 3, 7, 12, 3, 7, 12]),
     tx=np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0]),
@@ -190,16 +193,16 @@ USER_BUILT = SimulatedDataset(
 
 
 class TestDesignRecord:
-    # the numpy arithmetic USER_BUILT's frozen fit was computed on
-    ARITHMETIC = "a8ee61655ae0b35041802752401bdd5d18ab6ea1ae1c3e87f99ac084d385a7a5"
-
     @pytest.mark.parametrize("source", ["generated", "user_built", "pilot"])
     def test_fields_match_a_fresh_computation(self, source):
         data = {"generated": gen_anova(4, 3, anova_params(), replicate_stream(5, 4, 3, 0)),
                 "user_built": USER_BUILT, "pilot": pilot_uncensored()}[source]
-        design, tx, _, _ = _data.as_arrays(data)
-        labels = data.line_index if source != "pilot" else design.codes
-        expected = fresh_design(labels.tolist(), tx.tolist())
+        design, _, _ = _data.as_arrays(data)
+        if source == "pilot":
+            labels, tx = [r.id for r in data.rows], [r.tx for r in data.rows]
+        else:
+            labels, tx = data.line_index.tolist(), data.tx.tolist()
+        expected = fresh_design(labels, tx)
         for name, value in expected.items():
             got = getattr(design, name)
             if isinstance(got, np.ndarray):
@@ -223,21 +226,43 @@ class TestDesignRecord:
         unsigned = _data.design_of(labels.view(np.uint64), tx)
         assert unsigned is not design
         assert unsigned.codes.tolist() == design.codes.tolist()
-        # 0/1 int64 words read as float64 are 0 and the smallest subnormal
-        as_float = _data.design_of(labels, np.array([0, 1] * 6).view(np.float64))
-        assert as_float.sx.tolist() != design.sx.tolist()
-        assert as_float.Sx == 6 * 5e-324
+        # 0/1 int64 words read as float64 are 0 and the smallest subnormal,
+        # which the record refuses; the int64 record, if served, would not
+        words = np.array([0, 1] * 6)
+        assert _data.design_of(labels, words).Sx == 6.0
+        with pytest.raises(ValueError, match="tx must be 0 or 1"):
+            _data.design_of(labels, words.view(np.float64))
         # a column of the same bytes is not served the 1-d record
         with pytest.raises(ValueError):
             _data.design_of(labels, tx.reshape(-1, 1))
 
-    def test_user_built_dataset_fits_as_before(self):
-        # fit_lmm's output at commit 76855a0; the gaps count as empty lines in df
-        frozen = ("LmmFit(beta0_hat=0.8414923597330625, beta_hat=0.7407453001430886, "
-                  "se_beta=0.11503728171079179, tau2_hat=0.6090434594894573, "
-                  "sigma2_hat=0.03970072855022422, df=1.0, p_value=0.09808314096655477, "
-                  "converged=True, log_restricted_likelihood=-3.982195534818339)")
-        fit = repr(fit_lmm(USER_BUILT))
-        if arithmetic_fingerprint([(USER_BUILT.tx, USER_BUILT.y)]) != self.ARITHMETIC:
-            pytest.skip("numpy's log or BLAS dot rounds differently on this platform")
-        assert fit == frozen
+    def test_user_built_dataset_fits_as_its_relabellings(self):
+        # the gapped labels {3, 7, 12} are three lines, so df = 12 - 3 - 1
+        assert _data.as_arrays(USER_BUILT)[0].k == 3
+        lmm_fit, frailty_fit = fit_lmm(USER_BUILT), fit_frailty(USER_BUILT)
+        assert lmm_fit.converged and lmm_fit.df == 8.0 and frailty_fit.converged
+        for labels in ({3: 1, 7: 2, 12: 3}, {3: "b", 7: "c", 12: "a"}):
+            line_index = np.array([labels[v] for v in USER_BUILT.line_index.tolist()])
+            data = dataclasses.replace(USER_BUILT, line_index=line_index)
+            assert _data.as_arrays(data)[0].k == 3
+            assert fit_lmm(data) == lmm_fit
+            assert fit_frailty(data) == frailty_fit
+
+    def test_pilot_ids_differing_in_a_trailing_nul_are_two_lines(self):
+        rows = [PilotRecord(id=i, y=y, tx=t) for i, y, t in
+                [("a", 1.0, 0), ("a", 2.0, 1), ("a\0", 3.0, 0), ("a\0", 4.0, 1)]]
+        assert _data.as_arrays(PilotDataset(rows=rows))[0].k == 2
+
+    @pytest.mark.parametrize("tx", [
+        USER_BUILT.tx.astype(np.int64) * 2,
+        np.where(np.arange(12) == 0, 0.5, USER_BUILT.tx),
+        np.where(np.arange(12) == 0, np.nan, USER_BUILT.tx),
+    ], ids=["0,2", "0,0.5,1", "nan"])
+    @pytest.mark.parametrize("fit", [
+        fit_lmm, fit_frailty, lambda data: frailty_loglik((0.3, 1.0, 0.5, 0.1), data),
+    ], ids=["fit_lmm", "fit_frailty", "frailty_loglik"])
+    def test_tx_other_than_0_or_1_is_refused(self, fit, tx):
+        data = SimulatedDataset(line_index=USER_BUILT.line_index, tx=tx, y=USER_BUILT.y,
+                                status=USER_BUILT.status)
+        with pytest.raises(ValueError, match="tx must be 0 or 1"):
+            fit(data)

@@ -137,10 +137,11 @@ def reflected_eigen_direction(score, hess):
 def vectorised_no_frailty_fit(gd):
     """Oracle: the no-frailty stage with its per-arm moments kept as numpy
     arrays, as before the profile moved to scalar arithmetic."""
-    treated = gd.tx == 1
+    arm = gd.design.arm
+    treated = gd.design.tx == 1
     tops = np.array([gd.logy[~treated].max(), gd.logy[treated].max()])
     centred = gd.logy - tops[treated.astype(np.int64)]
-    powers = np.concatenate((gd.arm, gd.arm * centred, gd.arm * centred * centred))
+    powers = np.concatenate((arm, arm * centred, arm * centred * centred))
 
     def arm_moments(s):
         nu = math.exp(s)
@@ -272,8 +273,8 @@ class TestLoglik:
         params = (0.0154, 2.1722, -0.8794, 0.0422)
         from xenopower._data import as_arrays
 
-        design, tx, y, status = as_arrays(pilot_survival)
-        oracle = trapezoid_loglik(*params, design.codes, tx, y, status)
+        design, y, status = as_arrays(pilot_survival)
+        oracle = trapezoid_loglik(*params, design.codes, design.tx, y, status)
         assert frailty_loglik(params, pilot_survival) == pytest.approx(oracle, abs=1e-6)
 
     def test_quadrature_stable_in_node_count(self, pilot_survival):
@@ -558,6 +559,14 @@ class TestFrozenFits:
             fit_frailty(ds)
             counts[i].append(len(calls))
         assert counts == GOLDEN_DERIV_CALLS
+
+    @pytest.mark.parametrize("r, boundary", [(0, True), (1, False)])
+    def test_log_likelihood_is_a_float_on_either_branch(self, r, boundary):
+        # golden configuration 1: cell (6,5) at the median parameters
+        ds = next(ds for where, ds in golden_datasets() if where == (1, r))
+        fit = fit_frailty(ds)
+        assert fit.converged and (fit.tau2_hat == 0) == boundary
+        assert type(fit.log_likelihood) is float
 
 
 def oracle_datasets(source):

@@ -113,8 +113,8 @@ def search_fit(monkeypatch, data):
 
 
 def sufficient(data):
-    design, tx, y, _status = as_arrays(data)
-    return lmm._Sufficient(design, tx, np.log(y))
+    design, y, _status = as_arrays(data)
+    return lmm._Sufficient(design, np.log(y))
 
 
 def closed_form_theta(ds):
@@ -232,11 +232,10 @@ class TestBalancedClosedForm:
         assert 5e4 < theta < 6e4
         assert fit_lmm(ds).sigma2_hat == sigma2
         # the same balanced profile in exact arithmetic on the same float sums
-        N, J = st.N, 2
-        Sy, Syy, Sxy, Sxx, Q = map(Fraction, (st.Sy, st.Syy, st.Sxy, st.Sxx,
-                                              float(st.sy @ st.sy)))
+        N, J = ds.y.size, 2
+        Sy, Syy, Sxy, Q = map(Fraction, (st.Sy, st.Syy, st.Sxy, float(st.sy @ st.sy)))
         c = Fraction(theta) / (1 + Fraction(theta) * J)
-        a00, a11 = N * (1 - c * J), Sxx - c * J * N / 4
+        a00, a11 = N * (1 - c * J), Fraction(N, 2) - c * J * N / 4
         a01 = a00 / 2
         b0, b1 = Sy * (1 - c * J), Sxy - c * J * Sy / 2
         det = a00 * a11 - a01 * a01
@@ -262,7 +261,7 @@ class TestFrozenFits:
         for ds in datasets:
             digest.update(repr(fit_lmm(ds)).encode())
         arrays = (as_arrays(ds) for ds in datasets)
-        if arithmetic_fingerprint((tx, y) for _, tx, y, _ in arrays) != self.ARITHMETIC:
+        if arithmetic_fingerprint((d.tx, y) for d, y, _ in arrays) != self.ARITHMETIC:
             pytest.skip("numpy's exp, log or BLAS dot rounds differently on this platform")
         assert digest.hexdigest() == self.FITS
 
