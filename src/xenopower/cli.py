@@ -71,7 +71,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.add_argument("--seed", type=int, default=12345, help="master seed")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker count (default: ${_ENV_THREADS} or all cores)")
+                   help=f"worker count (default: ${_ENV_THREADS} or all CPUs this process may use)")
     p.add_argument("--target-power", type=float, default=0.8, dest="target_power",
                    help="power level for the minimal-design report")
     p.add_argument("--out-csv", metavar="PATH", help="write the power table as CSV")

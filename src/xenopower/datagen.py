@@ -8,6 +8,7 @@ dataset never depends on how replicates are scheduled across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,16 +63,19 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=128)
-def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Line labels and arm indicators of cell (n, m), shared read-only by
-    every dataset drawn for that cell."""
+def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line labels, arm indicators, 0-based line codes and the all-ones
+    status of uncensored data for cell (n, m), shared read-only by every
+    dataset drawn for that cell."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     line = np.repeat(np.arange(1, n + 1), 2 * m)
     tx = np.tile(np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)]), n)
-    line.flags.writeable = False
-    tx.flags.writeable = False
-    return line, tx
+    codes = line - 1
+    status = np.ones(2 * n * m, dtype=np.int64)
+    for array in (line, tx, codes, status):
+        array.flags.writeable = False
+    return line, tx, codes, status
 
 
 def gen_anova(n: int, m: int, params: AnovaParams, stream: np.random.Generator) -> SimulatedDataset:
@@ -80,16 +84,11 @@ def gen_anova(n: int, m: int, params: AnovaParams, stream: np.random.Generator) 
     y = exp(beta0 + tx*beta + line effect + residual); all records are
     observed events.
     """
-    line, tx = _design_arrays(n, m)
-    line_eff = stream.normal(0.0, np.sqrt(params.tau2), size=n)
-    eps = stream.normal(0.0, np.sqrt(params.sigma2), size=2 * n * m)
-    log_y = params.beta0 + tx * params.beta + line_eff[line - 1] + eps
-    return SimulatedDataset(
-        line_index=line,
-        tx=tx,
-        y=np.exp(log_y),
-        status=np.ones(2 * n * m, dtype=np.int64),
-    )
+    line, tx, codes, status = _design_arrays(n, m)
+    line_eff = stream.normal(0.0, math.sqrt(params.tau2), size=n)
+    eps = stream.normal(0.0, math.sqrt(params.sigma2), size=2 * n * m)
+    log_y = params.beta0 + tx * params.beta + line_eff[codes] + eps
+    return SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y), status=status)
 
 
 def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generator) -> SimulatedDataset:
@@ -100,15 +99,14 @@ def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generat
     S(t) = exp(-lam * t**nu * exp(tx*beta + a)) at a uniform draw; with
     censoring on, y = min(T, ct) and status flags observed events.
     """
-    line, tx = _design_arrays(n, m)
-    frailty = stream.normal(0.0, np.sqrt(params.tau2), size=n)
+    line, tx, codes, status = _design_arrays(n, m)
+    frailty = stream.normal(0.0, math.sqrt(params.tau2), size=n)
     u = stream.uniform(size=2 * n * m)
-    rate = params.lam * np.exp(tx * params.beta + frailty[line - 1])
+    rate = params.lam * np.exp(tx * params.beta + frailty[codes])
     t_latent = (-np.log(u) / rate) ** (1.0 / params.nu)
     if params.censor:
         status = (t_latent <= params.ct).astype(np.int64)
         y = np.minimum(t_latent, params.ct)
     else:
-        status = np.ones(2 * n * m, dtype=np.int64)
         y = t_latent
     return SimulatedDataset(line_index=line, tx=tx, y=y, status=status)

@@ -213,6 +213,12 @@ class PowerTable:
         cells = [(r.n, r.m) for r in self.rows]
         if sorted(cells) != cells or len(set(cells)) != len(cells):
             raise ValidationError("rows must be unique and ordered by n then m")
+        # the CSV has a censoring column for every row or for none
+        with_censoring = {r.censoring is not None for r in self.rows}
+        if len(with_censoring) > 1:
+            raise ValidationError("rows must all carry censoring or none may")
+        if True in with_censoring and isinstance(self.params, AnovaParams):
+            raise ValidationError("an AnovaParams table carries no censoring")
 
     @property
     def has_censoring(self) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.stats import kstest
 
-from xenopower import _data
+from xenopower import _data, datagen
 from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
 from xenopower.datasets import pilot_uncensored
 from xenopower.frailty import fit_frailty, frailty_loglik
@@ -75,9 +75,16 @@ class TestDesignShape:
         # every dataset of a cell shares one copy, so none may write to it
         a = gen_anova(3, 2, anova_params(), replicate_stream(5, 3, 2, 0))
         b = gen_frailty(3, 2, frailty_params(), replicate_stream(5, 3, 2, 1))
+        c = gen_frailty(3, 2, frailty_params(censor=False, ct=None), replicate_stream(5, 3, 2, 2))
         assert a.line_index is b.line_index and a.tx is b.tx
-        with pytest.raises(ValueError, match="read-only"):
-            a.tx[0] = 1
+        # uncensored data share the all-ones status; censored data draw their own
+        line, tx, codes, status = datagen._design_arrays(3, 2)
+        assert a.status is status and c.status is status and b.status is not status
+        assert status.tolist() == [1] * 12
+        assert codes.tolist() == (line - 1).tolist()
+        for array in (a.tx, codes, status):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     @pytest.mark.parametrize("n, m", [(0, 2), (3, 0)])
     def test_empty_design_rejected(self, n, m):

@@ -232,6 +232,64 @@ class TestPoolSize:
         assert pool_sizes == [3]
         assert table == run_power_grid(self.job((2, 3, 4), 1))
 
+    def test_auto_workers_honour_cpu_affinity(self, pool_sizes, monkeypatch):
+        # taskset or a cpuset can leave a process fewer CPUs than the host has
+        monkeypatch.setattr("xenopower.engine.os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr("xenopower.engine.os.cpu_count", lambda: 8)
+        table = run_power_grid(self.job((2, 3, 4), "auto"))
+        assert pool_sizes == []
+        assert table == run_power_grid(self.job((2, 3, 4), 1))
+
+    def test_auto_workers_fall_back_to_cpu_count(self, pool_sizes, monkeypatch):
+        # platforms without sched_getaffinity
+        monkeypatch.delattr("xenopower.engine.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("xenopower.engine.os.cpu_count", lambda: 2)
+        run_power_grid(self.job((2, 3, 4), "auto"))
+        assert pool_sizes == [2]
+
+
+class TestWorkUnits:
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """(n, m, r_start, r_stop) of each chunk submitted to an in-process
+        stand-in for the worker pool."""
+        chunks = []
+
+        class CountingPool(Executor):
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                chunks.append(args[0][1:3] + args[0][5:])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("xenopower.engine.ProcessPoolExecutor", CountingPool)
+        return chunks
+
+    @pytest.mark.parametrize("make_job", [small_anova_job, small_frailty_job],
+                             ids=["anova", "censored-frailty"])
+    def test_table_independent_of_chunk_size(self, monkeypatch, make_job):
+        # sim=40 is a multiple of none of the sizes but 1, so cells end in
+        # partial chunks
+        expected = run_power_grid(make_job(sim=40))
+        for size in (1, 7, 32, 512):
+            monkeypatch.setattr("xenopower.engine._CHUNK",
+                                {AnovaParams: size, FrailtyParams: size})
+            assert run_power_grid(make_job(sim=40)) == expected
+
+    def test_anova_cell_is_one_chunk(self, submitted):
+        grid = DesignGrid(n_values=(3,), m_values=(2, 3, 4), sim=96, alpha=0.05, seed=3)
+        run_power_grid(PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=2))
+        assert submitted == [(3, 2, 0, 96), (3, 3, 0, 96), (3, 4, 0, 96)]
+
+    def test_anova_chunks_split_a_cell_at_512(self, submitted):
+        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=600, alpha=0.05, seed=3)
+        run_power_grid(PowerJob(grid=grid, model=ANOVA_PILOT, worker_count=2))
+        assert submitted == [(3, 2, 0, 512), (3, 2, 512, 600)]
+
 
 class TestFrailtyColumns:
     def test_censoring_column_present_for_frailty_runs(self):

@@ -207,6 +207,28 @@ class TestPowerTable:
         with pytest.raises(ValidationError, match="ordered"):
             PowerTable(rows=rows, params=params, sim=10, alpha=0.05, seed=1)
 
+    def test_censoring_on_every_row_or_none(self):
+        # a mixed table once reached power_csv_text, which raised TypeError
+        rows = (
+            PowerRow(n=2, m=1, total_animals=4, power=50.0, convergence=100.0, censoring=10.0),
+            PowerRow(n=2, m=2, total_animals=8, power=60.0, convergence=100.0),
+        )
+        params = FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=True, ct=5.0)
+        with pytest.raises(ValidationError, match="censoring"):
+            PowerTable(rows=rows, params=params, sim=10, alpha=0.05, seed=1)
+        censored = (rows[0], PowerRow(n=2, m=2, total_animals=8, power=60.0,
+                                      convergence=100.0, censoring=0.0))
+        assert PowerTable(rows=censored, params=params, sim=10, alpha=0.05, seed=1).has_censoring
+        assert not PowerTable(rows=rows[1:], params=params, sim=10, alpha=0.05,
+                              seed=1).has_censoring
+
+    def test_anova_table_carries_no_censoring(self):
+        rows = (PowerRow(n=2, m=1, total_animals=4, power=50.0, convergence=100.0,
+                         censoring=10.0),)
+        params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
+        with pytest.raises(ValidationError, match="AnovaParams"):
+            PowerTable(rows=rows, params=params, sim=10, alpha=0.05, seed=1)
+
     def test_cell_lookup(self):
         rows = (PowerRow(n=3, m=2, total_animals=12, power=50.0, convergence=100.0),)
         params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
