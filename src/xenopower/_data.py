@@ -1,21 +1,20 @@
-"""Internal helpers for turning dataset containers into fit-ready arrays."""
+"""The simulated-dataset container and the design record the fitters read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .datagen import SimulatedDataset
 from .types import PilotDataset
 
 
 @dataclass(frozen=True)
 class Design:
-    """What the fitters need of a dataset's line labels and treatment
-    column alone, shared read-only by every dataset with the same ones.
+    """What the fitters need of a dataset's line labels and tx alone: built
+    once per simulated cell and carried by its datasets, else at each fit.
 
     ``codes`` number the lines 0..k-1 in order of first appearance, so
     ``k`` (the length of ``sizes``) is the number of distinct labels.
@@ -23,7 +22,6 @@ class Design:
     the treated row of ``arm``, the (2, N) control and treated indicators.
     ``sx`` holds the per-line sums of tx. ``J`` is the common line size
     when every line has J animals with tx summing to J/2, else None.
-    ``member`` is the (k, N) line indicator matrix.
     """
 
     codes: np.ndarray
@@ -34,8 +32,14 @@ class Design:
     Sx: float
     both_arms: bool
     J: Optional[float]
-    member: np.ndarray
     arm: np.ndarray
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """The (k, N) line indicator matrix, built at first use; only frailty reads it."""
+        member = (self.codes[None, :] == np.arange(self.k)[:, None]).astype(np.float64)
+        member.flags.writeable = False
+        return member
 
 
 def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
@@ -55,44 +59,52 @@ def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
     J = sizes_list[0]
     if sizes_list.count(J) != k or sx.tolist().count(J / 2) != k:
         J = None
-    member = (codes[None, :] == np.arange(k)[:, None]).astype(np.float64)
-    for array in (codes, sizes, tx, sx, arm, member):
+    for array in (codes, sizes, tx, sx, arm):
         array.flags.writeable = False
     return Design(codes=codes, k=k, sizes=sizes, tx=tx, sx=sx, Sx=float(tx.sum()),
-                  both_arms=bool(tx.min() != tx.max()), J=J, member=member, arm=arm)
+                  both_arms=bool(tx.min() != tx.max()), J=J, arm=arm)
 
 
-@lru_cache(maxsize=8)
-def _cached_design(labels: bytes, labels_dtype: np.dtype, labels_shape: tuple,
-                   tx: bytes, tx_dtype: np.dtype, tx_shape: tuple) -> Design:
-    # rebuilt from the key alone, so a record depends on nothing but content
-    return _build_design(np.frombuffer(labels, labels_dtype).reshape(labels_shape),
-                         np.frombuffer(tx, tx_dtype).reshape(tx_shape))
+@dataclass(frozen=True)
+class SimulatedDataset:
+    """One simulated experiment, stored as flat per-animal arrays.
+
+    Any line labels are accepted (generated data use 1..n); the fitters
+    number lines by first appearance. tx must be 0/1, checked at fit time.
+    status is 1 for an observed event and 0 for an administratively
+    censored record (whose y equals the censoring time exactly).
+    """
+
+    line_index: np.ndarray
+    tx: np.ndarray
+    y: np.ndarray
+    status: np.ndarray
+    # set only by the generators; not an init field, so replace() drops it
+    _design: Optional[Design] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def censoring_fraction(self) -> float:
+        return float(1.0 - self.status.mean())
 
 
-def design_of(labels: np.ndarray, tx: np.ndarray) -> Design:
-    """The Design of line labels and a treatment column, memoized by their
-    bytes, dtypes and shapes: every replicate of a simulated design shares
-    one record."""
-    if labels.dtype.hasobject or tx.dtype.hasobject:
-        # the bytes of an object array are pointers, not content
-        return _build_design(labels, tx)
-    return _cached_design(labels.tobytes(), labels.dtype, labels.shape,
-                          tx.tobytes(), tx.dtype, tx.shape)
+def _carrying(data: SimulatedDataset, design: Design) -> SimulatedDataset:
+    """data, holding the Design of its own line_index and tx."""
+    object.__setattr__(data, "_design", design)
+    return data
 
 
 def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
     """Return (design, y, status) for a SimulatedDataset or a PilotDataset.
 
-    Either container's lines are numbered by first appearance, and its tx
-    is checked and held by the design. A SimulatedDataset's status comes
-    back as stored (0/1 integers for generated data; the fitters'
-    arithmetic promotes them), and its y is uncopied when already float64,
-    so callers must not write to them.
+    A generated dataset brings its cell's design; any other container's is
+    built here, numbering lines by first appearance and checking tx. A
+    SimulatedDataset's status comes back as stored (0/1 integers for
+    generated data; the fitters' arithmetic promotes them), and its y is
+    uncopied when already float64, so callers must not write to them.
     """
     if isinstance(data, SimulatedDataset):
-        return (design_of(data.line_index, data.tx),
-                data.y.astype(np.float64, copy=False), data.status)
+        design = data._design or _build_design(data.line_index, data.tx)
+        return design, data.y.astype(np.float64, copy=False), data.status
     if isinstance(data, PilotDataset):
         # an object array, since a fixed-width string array drops trailing NULs
         ids = np.array([r.id for r in data.rows], dtype=object)
@@ -101,5 +113,5 @@ def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
         status = np.array(
             [1.0 if r.status is None else float(r.status) for r in data.rows], dtype=np.float64
         )
-        return design_of(ids, tx), y, status
+        return _build_design(ids, tx), y, status
     raise TypeError(f"expected SimulatedDataset or PilotDataset, got {type(data).__name__}")

@@ -9,34 +9,14 @@ dataset never depends on how replicates are scheduled across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._data import Design, SimulatedDataset, _build_design, _carrying
 from .types import AnovaParams, FrailtyParams
 
 __all__ = ["SimulatedDataset", "replicate_stream", "gen_anova", "gen_frailty"]
-
-
-@dataclass(frozen=True)
-class SimulatedDataset:
-    """One simulated experiment, stored as flat per-animal arrays.
-
-    Any line labels are accepted (generated data use 1..n); the fitters
-    number lines by first appearance. tx must be 0/1, checked at fit time.
-    status is 1 for an observed event and 0 for an administratively
-    censored record (whose y equals the censoring time exactly).
-    """
-
-    line_index: np.ndarray
-    tx: np.ndarray
-    y: np.ndarray
-    status: np.ndarray
-
-    @property
-    def censoring_fraction(self) -> float:
-        return float(1.0 - self.status.mean())
 
 
 def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
@@ -62,20 +42,19 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@lru_cache(maxsize=128)
-def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Line labels, arm indicators, 0-based line codes and the all-ones
-    status of uncensored data for cell (n, m), shared read-only by every
-    dataset drawn for that cell."""
+# few: a cell's replicates run back to back, and a frailty fit adds k*N floats to its Design
+@lru_cache(maxsize=8)
+def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Design]:
+    """Labels, arm indicators, all-ones status and Design of cell (n, m), shared
+    read-only by its datasets; the design codes its contiguous lines as labels - 1."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     line = np.repeat(np.arange(1, n + 1), 2 * m)
     tx = np.tile(np.concatenate([np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)]), n)
-    codes = line - 1
     status = np.ones(2 * n * m, dtype=np.int64)
-    for array in (line, tx, codes, status):
+    for array in (line, tx, status):
         array.flags.writeable = False
-    return line, tx, codes, status
+    return line, tx, status, _build_design(line, tx)
 
 
 def gen_anova(n: int, m: int, params: AnovaParams, stream: np.random.Generator) -> SimulatedDataset:
@@ -84,11 +63,12 @@ def gen_anova(n: int, m: int, params: AnovaParams, stream: np.random.Generator) 
     y = exp(beta0 + tx*beta + line effect + residual); all records are
     observed events.
     """
-    line, tx, codes, status = _design_arrays(n, m)
+    line, tx, status, design = _design_arrays(n, m)
     line_eff = stream.normal(0.0, math.sqrt(params.tau2), size=n)
     eps = stream.normal(0.0, math.sqrt(params.sigma2), size=2 * n * m)
-    log_y = params.beta0 + tx * params.beta + line_eff[codes] + eps
-    return SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y), status=status)
+    log_y = params.beta0 + tx * params.beta + line_eff[design.codes] + eps
+    return _carrying(SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y), status=status),
+                     design)
 
 
 def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generator) -> SimulatedDataset:
@@ -99,14 +79,14 @@ def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generat
     S(t) = exp(-lam * t**nu * exp(tx*beta + a)) at a uniform draw; with
     censoring on, y = min(T, ct) and status flags observed events.
     """
-    line, tx, codes, status = _design_arrays(n, m)
+    line, tx, status, design = _design_arrays(n, m)
     frailty = stream.normal(0.0, math.sqrt(params.tau2), size=n)
     u = stream.uniform(size=2 * n * m)
-    rate = params.lam * np.exp(tx * params.beta + frailty[codes])
+    rate = params.lam * np.exp(tx * params.beta + frailty[design.codes])
     t_latent = (-np.log(u) / rate) ** (1.0 / params.nu)
     if params.censor:
         status = (t_latent <= params.ct).astype(np.int64)
         y = np.minimum(t_latent, params.ct)
     else:
         y = t_latent
-    return SimulatedDataset(line_index=line, tx=tx, y=y, status=status)
+    return _carrying(SimulatedDataset(line_index=line, tx=tx, y=y, status=status), design)

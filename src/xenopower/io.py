@@ -141,14 +141,13 @@ def write_power_json(table: PowerTable, frontier: Sequence[Tuple[int, int]], pat
 
 def read_power_json(path) -> Tuple[PowerTable, List[Tuple[int, int]]]:
     """Rebuild (PowerTable, frontier) from a JSON file written by
-    write_power_json. A file with an unknown ``model`` tag or without a
-    key the schema needs raises ValidationError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    write_power_json. A file that is not such a document raises
+    ValidationError naming it."""
     try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pd = doc["params"]
         if pd["model"] not in _MODELS:
-            raise ValidationError(f"unknown model {pd['model']!r} in power JSON file {path}")
+            raise ValidationError(f"unknown model {pd['model']!r}")
         table = PowerTable(
             rows=tuple(_from_json(PowerRow, r) for r in doc["rows"]),
             params=_from_json(_MODELS[pd["model"]], pd),
@@ -159,4 +158,6 @@ def read_power_json(path) -> Tuple[PowerTable, List[Tuple[int, int]]]:
         frontier = [(int(n), int(m)) for n, m in doc["frontier"]]
     except KeyError as exc:
         raise ValidationError(f"power JSON file {path} has no key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"power JSON file {path} is malformed: {exc}") from None
     return table, frontier

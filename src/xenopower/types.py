@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Tuple, Union
 
 __all__ = [
@@ -200,6 +200,7 @@ class PowerTable:
 
     Rows are ordered by n then m, one row per grid cell. ``params`` is the
     generating model's parameter container, which also names the model.
+    ``sim``, ``alpha`` and ``seed`` must pass the checks a DesignGrid's do.
     """
 
     rows: Tuple[PowerRow, ...]
@@ -210,6 +211,7 @@ class PowerTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        _check_run_settings(self.sim, self.alpha, self.seed)
         cells = [(r.n, r.m) for r in self.rows]
         if sorted(cells) != cells or len(set(cells)) != len(cells):
             raise ValidationError("rows must be unique and ordered by n then m")
@@ -254,14 +256,18 @@ def validate_grid(grid: DesignGrid) -> DesignGrid:
             raise ValidationError(f"{name} must be duplicate-free")
         if list(vals) != sorted(vals):
             raise ValidationError(f"{name} must be ascending")
-    for name in ("sim", "seed"):
-        value = getattr(grid, name)
+    _check_run_settings(grid.sim, grid.alpha, grid.seed)
+    return grid
+
+
+def _check_run_settings(sim, alpha, seed) -> None:
+    """Check the replicates per cell, test level and master seed of a run."""
+    for name, value in (("sim", sim), ("seed", seed)):
         if not _is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if grid.sim < 1:
-        raise ValidationError(f"sim must be at least 1, got {grid.sim}")
-    if not 0.0 < grid.alpha < 1.0:
-        raise ValidationError("alpha must lie strictly between 0 and 1")
-    if not 0 <= int(grid.seed) < 2**64:
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {grid.seed}")
-    return grid
+    if sim < 1:
+        raise ValidationError(f"sim must be at least 1, got {sim}")
+    if not (isinstance(alpha, Real) and 0.0 < alpha < 1.0):
+        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")

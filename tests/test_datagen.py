@@ -78,13 +78,23 @@ class TestDesignShape:
         c = gen_frailty(3, 2, frailty_params(censor=False, ct=None), replicate_stream(5, 3, 2, 2))
         assert a.line_index is b.line_index and a.tx is b.tx
         # uncensored data share the all-ones status; censored data draw their own
-        line, tx, codes, status = datagen._design_arrays(3, 2)
+        line, tx, status, design = datagen._design_arrays(3, 2)
         assert a.status is status and c.status is status and b.status is not status
         assert status.tolist() == [1] * 12
-        assert codes.tolist() == (line - 1).tolist()
-        for array in (a.tx, codes, status):
+        # every dataset carries the cell's record, whose codes index the line effects
+        assert a._design is design and b._design is design and c._design is design
+        assert design.codes.tolist() == (line - 1).tolist()
+        assert design.codes.dtype == (line - 1).dtype
+        for array in (a.tx, design.codes, status):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    def test_line_indicator_matrix_is_built_at_first_use(self):
+        # it holds k*N floats (800 MB for 1,000 lines of 100 animals) and only
+        # the frailty fit reads it, so generating a cell must not build it
+        design = datagen._design_arrays.__wrapped__(50, 20)[3]
+        assert "member" not in vars(design)
+        assert design.member.shape == (50, 2000) and "member" in vars(design)
 
     @pytest.mark.parametrize("n, m", [(0, 2), (3, 0)])
     def test_empty_design_rejected(self, n, m):
@@ -227,22 +237,6 @@ class TestDesignRecord:
         with pytest.raises(ValueError, match="read-only"):
             _data.as_arrays(a)[0].sizes[0] = 1.0
 
-    def test_same_bytes_with_another_dtype_or_shape_is_another_design(self):
-        labels, tx = USER_BUILT.line_index, USER_BUILT.tx
-        design = _data.design_of(labels, tx)
-        unsigned = _data.design_of(labels.view(np.uint64), tx)
-        assert unsigned is not design
-        assert unsigned.codes.tolist() == design.codes.tolist()
-        # 0/1 int64 words read as float64 are 0 and the smallest subnormal,
-        # which the record refuses; the int64 record, if served, would not
-        words = np.array([0, 1] * 6)
-        assert _data.design_of(labels, words).Sx == 6.0
-        with pytest.raises(ValueError, match="tx must be 0 or 1"):
-            _data.design_of(labels, words.view(np.float64))
-        # a column of the same bytes is not served the 1-d record
-        with pytest.raises(ValueError):
-            _data.design_of(labels, tx.reshape(-1, 1))
-
     def test_user_built_dataset_fits_as_its_relabellings(self):
         # the gapped labels {3, 7, 12} are three lines, so df = 12 - 3 - 1
         assert _data.as_arrays(USER_BUILT)[0].k == 3
@@ -273,3 +267,52 @@ class TestDesignRecord:
                                 status=USER_BUILT.status)
         with pytest.raises(ValueError, match="tx must be 0 or 1"):
             fit(data)
+
+
+# one replicate of each model at a cell, with a nonzero effect so that
+# swapping the arms moves every fit
+GENERATED = {
+    "anova": lambda n, m: gen_anova(n, m, anova_params(beta=0.5), replicate_stream(11, n, m, 0)),
+    "frailty": lambda n, m: gen_frailty(n, m, frailty_params(beta=-0.7),
+                                        replicate_stream(11, n, m, 0)),
+    "frailty_uncensored": lambda n, m: gen_frailty(
+        n, m, frailty_params(beta=-0.7, censor=False, ct=None), replicate_stream(11, n, m, 0)),
+}
+
+
+def user_built(data, **over):
+    """The same experiment as a user-built dataset, which carries no record."""
+    arrays = {name: getattr(data, name) for name in ("line_index", "tx", "y", "status")}
+    return SimulatedDataset(**(arrays | over))
+
+
+@pytest.mark.parametrize("model", sorted(GENERATED))
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (10, 8)])
+class TestCarriedDesign:
+    def test_carried_record_equals_a_built_one(self, model, n, m):
+        data = GENERATED[model](n, m)
+        carried = _data.as_arrays(data)[0]
+        built = _data._build_design(data.line_index, data.tx)
+        assert carried is data._design
+        for name in [f.name for f in dataclasses.fields(_data.Design)] + ["member"]:
+            got, want = getattr(carried, name), getattr(built, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            else:
+                assert got == want and type(got) is type(want), name
+
+    def test_fits_equal_those_of_the_user_built_dataset(self, model, n, m):
+        data = GENERATED[model](n, m)
+        same = user_built(data)
+        assert same._design is None
+        for fit in (fit_lmm, fit_frailty):
+            assert fit(data) == fit(same)
+
+    def test_replaced_tx_is_fitted_with_its_own_record(self, model, n, m):
+        data = GENERATED[model](n, m)
+        swapped = dataclasses.replace(data, tx=1 - data.tx)
+        fresh = user_built(data, tx=1 - data.tx)
+        for fit in (fit_lmm, fit_frailty):
+            assert fit(swapped) == fit(fresh)
+        # the carried record would have fitted the original arms
+        assert fit_lmm(swapped) != fit_lmm(data)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xenopower import engine
 from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
 from xenopower.engine import EngineError, PowerJob, minimal_designs, run_power_grid
 from xenopower.frailty import fit_frailty, wald_test_frailty
@@ -128,6 +129,47 @@ class TestReplicatePipeline:
             assert row.censoring is None
         else:
             assert row.censoring == float(100.0 * np.mean(censoring))
+
+    # the traced benchmark times each layer by swapping these names on the
+    # engine module, so every replicate must reach its layers through them
+    LAYERS = ("replicate_stream", "gen_anova", "gen_frailty", "fit_lmm", "fit_frailty",
+              "wald_test_lmm", "wald_test_frailty")
+
+    @pytest.mark.filterwarnings("ignore:cell .* convergence rate")
+    @pytest.mark.parametrize(
+        "model, gen, fit, test",
+        [(ANOVA_PILOT, "gen_anova", "fit_lmm", "wald_test_lmm"),
+         (replace(CENSORED_FRAILTY, ct=4.0), "gen_frailty", "fit_frailty", "wald_test_frailty")],
+        ids=["anova", "frailty"],
+    )
+    def test_layers_are_called_through_the_engine_names(self, monkeypatch, model, gen, fit,
+                                                         test):
+        calls = {name: [] for name in self.LAYERS}
+        fits = []
+
+        def counting(name, inner):
+            def wrapper(*args):
+                calls[name].append(args)
+                out = inner(*args)
+                if name == fit:
+                    fits.append(out)
+                return out
+            return wrapper
+
+        for name in self.LAYERS:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        sim = 24
+        grid = DesignGrid(n_values=(3,), m_values=(2, 3), sim=sim, seed=77)
+        run_power_grid(PowerJob(grid=grid, model=model, worker_count=1))
+
+        replicates = len(grid.m_values) * sim
+        assert len(calls["replicate_stream"]) == len(calls[gen]) == len(calls[fit]) == replicates
+        assert all(isinstance(args[0], SimulatedDataset) for args in calls[fit])
+        converged = [result for result in fits if result.converged]
+        assert [args[0] for args in calls[test]] == converged
+        assert 0 < len(converged) <= replicates
+        assert not any(calls[name] for name in self.LAYERS
+                       if name not in ("replicate_stream", gen, fit, test))
 
     def test_anova_chunk_never_reads_censoring(self, monkeypatch):
         # uncensored data have no censoring to average, and no row reports it

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -134,7 +135,8 @@ class TestPowerJson:
         doc["params"]["model"] = "cox"
         path = tmp_path / "cox.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ValidationError, match="unknown model 'cox'"):
+        named = re.escape(str(path))
+        with pytest.raises(ValidationError, match=f"{named} is malformed: unknown model 'cox'"):
             read_power_json(path)
 
     @pytest.mark.parametrize("part, key", [("params", "lambda"), ("row", "power"), ("doc", "seed")])
@@ -144,6 +146,22 @@ class TestPowerJson:
         path = tmp_path / "missing.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError, match=f"has no key '{key}'"):
+            read_power_json(path)
+
+    @pytest.mark.parametrize("text", [
+        lambda doc: json.dumps([doc]),
+        lambda doc: json.dumps(doc | {"params": None}),
+        lambda doc: json.dumps(doc | {"rows": [[3, 2, 12]] + doc["rows"][1:]}),
+        lambda doc: json.dumps(doc | {"frontier": [[1]]}),
+        lambda doc: json.dumps(doc | {"params": doc["params"] | {"sim": "10"}}),
+        lambda doc: json.dumps(doc)[:-1],
+    ], ids=["top-level list", "null params", "row not an object", "frontier pair of one",
+            "sim a string", "not JSON"])
+    def test_malformed_document_is_a_validation_error(self, tmp_path, text):
+        path = tmp_path / "malformed.json"
+        path.write_text(text(power_json_dict(sample_table(), [(3, 3)])), encoding="utf-8")
+        named = re.escape(str(path))
+        with pytest.raises(ValidationError, match=f"power JSON file {named} is malformed"):
             read_power_json(path)
 
     def test_schema_shape(self):

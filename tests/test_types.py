@@ -229,6 +229,19 @@ class TestPowerTable:
         with pytest.raises(ValidationError, match="AnovaParams"):
             PowerTable(rows=rows, params=params, sim=10, alpha=0.05, seed=1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sim", "10", "sim must be an integer"), ("sim", 0, "sim must be at least 1"),
+        ("alpha", 1.0, "alpha must lie strictly"), ("alpha", "0.05", "alpha must lie strictly"),
+        ("seed", 1.0, "seed must be an integer"), ("seed", 2**64, "seed must be a 64-bit"),
+    ])
+    def test_run_settings_pass_the_grid_checks(self, field, value, message):
+        params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
+        settings = dict(sim=10, alpha=0.05, seed=1) | {field: value}
+        with pytest.raises(ValidationError, match=message):
+            PowerTable(rows=(), params=params, **settings)
+        with pytest.raises(ValidationError, match=message):
+            make_grid(**{field: value})
+
     def test_cell_lookup(self):
         rows = (PowerRow(n=3, m=2, total_animals=12, power=50.0, convergence=100.0),)
         params = AnovaParams(beta0=0.0, beta=0.0, tau2=0.0, sigma2=1.0)
