@@ -65,7 +65,7 @@ def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
                   both_arms=bool(tx.min() != tx.max()), J=J, arm=arm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulatedDataset:
     """One simulated experiment, stored as flat per-animal arrays.
 
@@ -85,6 +85,15 @@ class SimulatedDataset:
     @property
     def censoring_fraction(self) -> float:
         return float(1.0 - self.status.mean())
+
+    def __eq__(self, other):
+        """Equal when the four arrays are equal in value; the carried Design is not compared."""
+        if not isinstance(other, SimulatedDataset):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("line_index", "tx", "y", "status"))
+
+    __hash__ = None  # the arrays are mutable
 
 
 def _carrying(data: SimulatedDataset, design: Design) -> SimulatedDataset:

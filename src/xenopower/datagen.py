@@ -4,6 +4,11 @@ Every line contributes m animals to each of the two arms. Generation is a
 pure function of (n, m, params, stream): the per-line effects are drawn
 first, in line order, then the per-animal draws, so the content of a
 dataset never depends on how replicates are scheduled across workers.
+
+Each replicate's stream is a Philox generator keyed by numpy's SeedSequence
+hash of (seed, n, m, r). The hash runs over 512 replicates at a time as
+uint32 array arithmetic and gives the keys ``SeedSequence([seed, n, m, r])``
+gives, which stays the test oracle.
 """
 
 from __future__ import annotations
@@ -12,34 +17,135 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from ._data import Design, SimulatedDataset, _build_design, _carrying
 from .types import AnovaParams, FrailtyParams
 
 __all__ = ["SimulatedDataset", "replicate_stream", "gen_anova", "gen_frailty"]
 
+# numpy's SeedSequence constants (a 4-word pool, hashmix/mix, generate_state)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# replicates per block of keys: one ANOVA chunk. It divides 2**32, so the
+# replicates of a block differ only in the lowest word of r.
+_BLOCK = 512
+# Philox's default counter, as the array that Philox turns an int into
+# (about 1 us cheaper to pass than the int 0)
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_COUNTER.flags.writeable = False
+
 
 def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
     """Derive the random stream for replicate r of cell (n, m).
 
-    The (seed, n, m, r) tuple is hashed by SeedSequence into a key for the
-    counter-based Philox generator, so any replicate can be regenerated in
-    isolation and the stream never depends on execution order.
+    The (seed, n, m, r) tuple is hashed by numpy's SeedSequence algorithm
+    into a key for the counter-based Philox generator, so any replicate can
+    be regenerated in isolation and the stream never depends on execution
+    order. The draws are those of ``Philox(SeedSequence([seed, n, m, r]))``;
+    the keys are hashed for 512 replicates at a time, and the generator's
+    ``seed_seq`` holds its key and spawns as that SeedSequence does.
     """
-    # the uint32 words SeedSequence([seed, n, m, r]) makes of the four ints:
-    # little-endian, one zero word for 0. Coercing the ints one by one costs
-    # SeedSequence more than hashing the words does.
-    words = []
-    for value in (int(seed), int(n), int(m), int(r)):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(value & 0xFFFFFFFF)
+    entropy = [int(seed), int(n), int(m), int(r)]
+    if min(entropy) < 0:
+        raise ValueError("expected non-negative integer")
+    block, i = divmod(entropy[3], _BLOCK)
+    key = _block_keys(entropy[0], entropy[1], entropy[2], block)[i]
+    return np.random.Generator(np.random.Philox(_Keyed(key, entropy), counter=_COUNTER))
+
+
+class _Keyed(ISpawnableSeedSequence):
+    """SeedSequence(entropy) with its Philox key already hashed. It builds
+    the SeedSequence only to spawn or for another state request, and keeps
+    it, so its children counter carries over between spawns."""
+
+    def __init__(self, key: np.ndarray, entropy: list):
+        self.key = key
+        self.entropy = entropy
+        self._seq = None
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for 2 uint64 words, by this very dtype object
+        if n_words == 2 and dtype is np.uint64:
+            return self.key
+        return self._sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._sequence().spawn(n_children)
+
+    def _sequence(self) -> np.random.SeedSequence:
+        if self._seq is None:
+            self._seq = np.random.SeedSequence(self.entropy)
+        return self._seq
+
+
+def _words(value: int) -> list:
+    """The little-endian uint32 words SeedSequence makes of an int; one zero word for 0."""
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
         value >>= 32
-        while value:
-            words.append(value & 0xFFFFFFFF)
-            value >>= 32
-    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(ss))
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of a word (an int or a uint32 array) and the
+    next hash constant; generate_state hashes each pool word likewise with
+    its own constants."""
+    value = value ^ const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words, each an int or a uint32 array."""
+    result = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
+    return result ^ (result >> 16)
+
+
+@lru_cache(maxsize=8)
+def _block_keys(seed: int, n: int, m: int, block: int) -> np.ndarray:
+    """The (512, 2) uint64 Philox keys SeedSequence([seed, n, m, r]) hashes
+    for r = 512*block .. 512*block + 511, read-only.
+
+    Words before r's lowest word are mixed as Python ints masked to 32
+    bits; from that word on the pool is a uint32 array over the block, on
+    which numpy wraps without overflow warnings.
+    """
+    # four ints make at least the pool's four words
+    entropy = _words(seed) + _words(n) + _words(m)
+    low = len(entropy)
+    entropy += _words(_BLOCK * block)
+    entropy[low] = entropy[low] + np.arange(_BLOCK, dtype=np.uint32)
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    # generate_state(2, uint64): the four pool words, paired little-endian
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    shift = np.uint64(32)
+    keys = np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
+    keys.flags.writeable = False
+    return keys
 
 
 # few: a cell's replicates run back to back, and a frailty fit adds k*N floats to its Design

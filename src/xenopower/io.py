@@ -20,6 +20,7 @@ from .types import (
     PowerRow,
     PowerTable,
     ValidationError,
+    _is_integer,
 )
 
 __all__ = [
@@ -155,7 +156,11 @@ def read_power_json(path) -> Tuple[PowerTable, List[Tuple[int, int]]]:
             alpha=pd["alpha"],
             seed=doc["seed"],
         )
-        frontier = [(int(n), int(m)) for n, m in doc["frontier"]]
+        frontier = [tuple(cell) for cell in doc["frontier"]]
+        cells = {(row.n, row.m) for row in table.rows}
+        for cell in frontier:
+            if len(cell) != 2 or not all(map(_is_integer, cell)) or cell not in cells:
+                raise ValidationError(f"frontier entry {list(cell)!r} is not a cell of the table")
     except KeyError as exc:
         raise ValidationError(f"power JSON file {path} has no key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

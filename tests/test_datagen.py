@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from scipy.stats import kstest
 from xenopower import _data, datagen
 from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
 from xenopower.datasets import pilot_uncensored
+from xenopower.engine import PowerJob, run_power_grid
 from xenopower.frailty import fit_frailty, frailty_loglik
 from xenopower.lmm import fit_lmm
-from xenopower.types import AnovaParams, FrailtyParams, PilotDataset, PilotRecord
+from xenopower.types import AnovaParams, DesignGrid, FrailtyParams, PilotDataset, PilotRecord
 
 
 def anova_params(**over):
@@ -43,16 +45,59 @@ class TestReproducibility:
         assert a.y.tobytes() == b.y.tobytes()
         assert np.array_equal(a.status, b.status)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64 + 5])
     def test_stream_matches_the_list_seed_sequence(self, seed):
-        # the words replicate_stream builds are the ones SeedSequence makes
-        # of the four Python ints
-        for r in (0, 31, 32, 499):
-            got = replicate_stream(seed, 6, 5, r).bit_generator
-            ref = np.random.Philox(np.random.SeedSequence([seed, 6, 5, r]))
-            # the repr spells out every array of the state in full
-            assert repr(got.state) == repr(ref.state)
-            assert np.array_equal(got.random_raw(8), ref.random_raw(8))
+        # the block-hashed keys are the ones SeedSequence hashes of the four
+        # Python ints, at both ends of a block and where r grows a second word
+        for n, m in ((1, 1), (6, 5), (10, 8)):
+            for r in (0, 1, 31, 32, 499, 511, 512, 1023, 2**32 - 1, 2**32, 2**32 + 511):
+                got = replicate_stream(seed, n, m, r).bit_generator
+                ref = np.random.Philox(np.random.SeedSequence([seed, n, m, r]))
+                # the repr spells out every array of the state in full
+                assert repr(got.state) == repr(ref.state)
+                assert np.array_equal(got.random_raw(8), ref.random_raw(8))
+
+    def test_seed_seq_spawns_the_oracles_children(self):
+        # on seed_seq, since Generator.spawn needs numpy >= 1.25
+        got = replicate_stream(3, 6, 5, 700).bit_generator.seed_seq
+        ref = np.random.SeedSequence([3, 6, 5, 700])
+        for _ in range(2):  # the second call continues the children counter
+            children, ref_children = got.spawn(2), ref.spawn(2)
+            assert [c.spawn_key for c in children] == [c.spawn_key for c in ref_children]
+            for child, ref_child in zip(children, ref_children):
+                assert np.array_equal(child.generate_state(4), ref_child.generate_state(4))
+        assert got.generate_state(3).tolist() == ref.generate_state(3).tolist()
+
+    def test_stream_survives_a_pickle_round_trip(self):
+        stream = replicate_stream(8, 3, 2, 600)
+        stream.random(3)
+        again = pickle.loads(pickle.dumps(stream))
+        assert np.array_equal(again.random(16), stream.random(16))
+        assert repr(again.bit_generator.state) == repr(stream.bit_generator.state)
+
+    @pytest.mark.parametrize("args", [(-1, 3, 2, 0), (1, -3, 2, 0), (1, 3, -2, 0), (1, 3, 2, -1)])
+    def test_negative_entropy_rejected(self, args):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            replicate_stream(*args)
+
+    def test_streams_of_one_block_draw_independently(self):
+        a, b = replicate_stream(4, 3, 2, 10), replicate_stream(4, 3, 2, 11)
+        b_first = replicate_stream(4, 3, 2, 11).random(8)
+        a.random(100)  # drawing from a moves b by nothing
+        assert np.array_equal(b.random(8), b_first)
+        assert not np.array_equal(replicate_stream(4, 3, 2, 10).random(8), b_first)
+        key = datagen._block_keys(4, 3, 2, 0)[10]
+        with pytest.raises(ValueError, match="read-only"):
+            key[0] = 0
+
+    def test_grid_run_builds_no_seed_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence built")
+
+        monkeypatch.setattr(datagen.np.random, "SeedSequence", refuse)
+        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=20, seed=11)
+        row = run_power_grid(PowerJob(grid=grid, model=anova_params(beta=1.0), worker_count=1)).rows[0]
+        assert row.convergence > 0
 
     def test_replicates_differ(self):
         p = anova_params()
@@ -316,3 +361,28 @@ class TestCarriedDesign:
             assert fit(swapped) == fit(fresh)
         # the carried record would have fitted the original arms
         assert fit_lmm(swapped) != fit_lmm(data)
+
+
+class TestDatasetEquality:
+    def test_copies_equal_the_generated_dataset(self):
+        data = GENERATED["frailty"](3, 2)
+        copy = SimulatedDataset(data.line_index.copy(), data.tx, data.y, data.status)
+        assert data == copy and copy == data and not data != copy
+        # the carried design record takes no part
+        assert data._design is not None and copy._design is None
+        assert user_built(data, y=data.y.copy()) == data
+
+    def test_a_differing_y_is_unequal(self):
+        data = GENERATED["anova"](3, 2)
+        y = data.y.copy()
+        y[-1] += 1.0
+        assert data != user_built(data, y=y)
+
+    def test_a_non_dataset_is_unequal(self):
+        data = GENERATED["anova"](3, 2)
+        assert data != (data.line_index, data.tx, data.y, data.status)
+        assert data != None  # noqa: E711
+
+    def test_datasets_stay_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(GENERATED["anova"](3, 2))

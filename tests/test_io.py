@@ -153,9 +153,17 @@ class TestPowerJson:
         lambda doc: json.dumps(doc | {"params": None}),
         lambda doc: json.dumps(doc | {"rows": [[3, 2, 12]] + doc["rows"][1:]}),
         lambda doc: json.dumps(doc | {"frontier": [[1]]}),
+        lambda doc: json.dumps(doc | {"frontier": [[1.9, "2"], [9, 9]]}),
+        lambda doc: json.dumps(doc | {"frontier": [[3.0, 3]]}),
+        lambda doc: json.dumps(doc | {"frontier": [[3, "3"]]}),
+        lambda doc: json.dumps(doc | {"frontier": [[True, 2]]}),
+        lambda doc: json.dumps(doc | {"frontier": [[3, 3], [9, 9]]}),
+        lambda doc: json.dumps(doc | {"frontier": ["32"]}),
         lambda doc: json.dumps(doc | {"params": doc["params"] | {"sim": "10"}}),
         lambda doc: json.dumps(doc)[:-1],
     ], ids=["top-level list", "null params", "row not an object", "frontier pair of one",
+            "frontier float and string", "frontier float", "frontier string",
+            "frontier bool", "frontier cell not in table", "frontier entry a string",
             "sim a string", "not JSON"])
     def test_malformed_document_is_a_validation_error(self, tmp_path, text):
         path = tmp_path / "malformed.json"
