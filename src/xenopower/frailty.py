@@ -56,7 +56,7 @@ _LOG_NU_MAX = math.log(50.0)
 _LOG_TAU_MAX = math.log(20.0)
 _LOG_TAU_START = math.log(0.3)
 _LOG_TAU_BOUNDARY = math.log(1e-3)
-_LOG_TAU_PROBE = math.log(0.05)
+_LOG_TAU_PROBE = math.log(0.15)
 _LOG_TAU_LOW = _LOG_TAU_BOUNDARY - 1.0
 _MAX_NEWTON = 30
 _MAX_HALVINGS = 12
@@ -392,11 +392,13 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
 
     Returns (boundary, p, value, hess): boundary is False at a maximum, and
     True when the search heads to tau = 0 and either tau has fallen below
-    1e-3, or it is below 0.05 and the no-frailty optimum (log-likelihood
+    1e-3, or it is below 0.15 and the no-frailty optimum (log-likelihood
     value0, tau2-score tau2_score0) is a boundary maximum at least as high,
-    where Newton in log tau would only creep down. Returns None when an
-    evaluation is not finite, the line search stalls, the iterate leaves
-    the box or the budget is spent.
+    where Newton in log tau would only creep down (about 0.49 a step). The
+    stop cannot change a fit, since a boundary fit reports the no-frailty
+    optimum; from tau = 0.3 it comes about two steps after the start.
+    Returns None when an evaluation is not finite, the line search stalls,
+    the iterate leaves the box or the budget is spent.
     """
     current = _loglik_derivs(p, gd, x, logw)
     if current is None:
@@ -451,7 +453,10 @@ def fit_frailty(data) -> FrailtyFit:
     over (log lam, log nu, beta, log tau) with tau at 0.3, using the
     analytic score and observed information of the quadrature rule. A
     search that heads to tau = 0 ends on the boundary: the fit reports the
-    no-frailty optimum with tau2_hat = 0 and that model's information.
+    no-frailty optimum with tau2_hat = 0 and that model's information. It
+    stops there once the log tau score is not positive and tau is below
+    1e-3, or below 0.15 where the no-frailty optimum is a boundary maximum
+    (tau2-score not positive) no lower than the current value.
     se_beta is the square root of the beta element of the inverse
     information. The fit is flagged non-converged when an arm has no
     events, either stage leaves the box |log nu| <= log 50,

@@ -34,17 +34,28 @@ __all__ = [
 ]
 
 
+# the pilot CSV's column names, lower-cased: three required, status optional
+_PILOT_REQUIRED = ("id", "y", "tx")
+_PILOT_COLUMNS = _PILOT_REQUIRED + ("status",)
+
+
 def read_pilot_csv(path) -> PilotDataset:
     """Parse a pilot-data CSV with columns ID, Y, Tx and optionally status
-    (header names matched case-insensitively)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    (header names matched case-insensitively, each at most once). A UTF-8
+    byte-order mark, as spreadsheet programs write, is skipped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError("no data rows") from None
-        cols = {name.strip().lower(): k for k, name in enumerate(header)}
-        for required in ("id", "y", "tx"):
+        cols: Dict[str, int] = {}
+        for k, name in enumerate(header):
+            key = name.strip().lower()
+            if key in cols and key in _PILOT_COLUMNS:
+                raise ValidationError(f"duplicate column {name.strip()!r} in header")
+            cols[key] = k
+        for required in _PILOT_REQUIRED:
             if required not in cols:
                 raise ValidationError(f"missing required column {required!r} in header")
         status_col = cols.get("status")

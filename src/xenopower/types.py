@@ -186,12 +186,21 @@ class PowerRow:
     censoring: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("n", "m", "total_animals"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.total_animals != 2 * self.n * self.m:
             raise ValidationError(
                 f"total_animals must equal 2*n*m = {2 * self.n * self.m}, got {self.total_animals}"
             )
-        if not 0.0 <= self.power <= 100.0:
-            raise ValidationError(f"power must lie in [0,100], got {self.power}")
+        for name in ("power", "convergence", "censoring"):
+            value = getattr(self, name)
+            if name == "censoring" and value is None:
+                continue
+            # false for nan as well
+            if not 0.0 <= value <= 100.0:
+                raise ValidationError(f"{name} must lie in [0,100], got {value}")
 
 
 @dataclass(frozen=True)

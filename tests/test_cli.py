@@ -90,6 +90,18 @@ class TestExitCodes:
         assert code == 3
         assert "censored" in err
 
+    def test_duplicate_pilot_column_is_3(self, capsys, tmp_path):
+        # a second Y column, differing only in case, is not silently read
+        lines = pilot_path("uncensored").read_text().splitlines()
+        y = lines[0].split(",").index("Y")
+        dup = tmp_path / "dup.csv"
+        dup.write_text("\n".join(f"{line},{line.split(',')[y]}" if k else f"{line},y"
+                                 for k, line in enumerate(lines)) + "\n")
+        code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(dup), *FAST)
+        assert code == 3
+        assert "duplicate column 'y'" in err
+        assert out == ""
+
     def test_unfittable_pilot_is_3(self, capsys, tmp_path):
         # the pilot reads cleanly, but the model cannot be fitted to two rows
         tiny = tmp_path / "tiny.csv"

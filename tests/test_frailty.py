@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -26,16 +27,17 @@ NO_FRAILTY_LOG_TAU = math.log(frailty._TAU_FLOOR) - 60.0
 GOLDEN_FITS = Path(__file__).parent / "golden" / "frailty_fits.json"
 # _loglik_derivs calls per golden fit, one row per golden configuration,
 # counted with the eigendecomposition Newton step and vectorised no-frailty
-# profile of commit bde6d19
+# profile of commit bde6d19, and re-counted for the boundary stop at
+# tau < 0.15 (it was tau < 0.05): only the tau2_hat = 0 fits changed
 GOLDEN_DERIV_CALLS = [
-    [5, 5, 5, 5, 5, 5, 5, 6, 5, 5, 7, 5, 6, 5, 5, 4, 5, 5, 7, 7],
-    [5, 5, 6, 5, 4, 5, 6, 4, 6, 5, 5, 5, 6, 6, 4, 8, 7, 5, 6, 4],
-    [5, 4, 4, 4, 4, 5, 5, 5, 5, 4, 6, 5, 4, 5, 4, 4, 10, 4, 4, 4],
-    [4, 4, 6, 4, 4, 6, 5, 4, 7, 8, 5, 5, 6, 5, 6, 6, 5, 6, 9, 7],
-    [5, 5, 6, 5, 5, 7, 5, 5, 7, 5, 5, 5, 6, 8, 6, 5, 5, 5, 5, 5],
-    [5, 6, 6, 5, 6, 5, 5, 6, 5, 5, 5, 5, 6, 5, 5, 6, 7, 5, 5, 12],
-    [0, 0, 5, 0, 8, 5, 12, 20, 0, 6, 5, 0, 5, 8, 13, 0, 24, 0, 0, 5],
-    [5, 5, 5, 5, 5, 0, 5, 6, 5, 5, 5, 5, 6, 6, 5, 5, 5, 6, 6, 9],
+    [3, 3, 3, 3, 3, 3, 3, 6, 3, 3, 7, 3, 6, 5, 3, 4, 3, 3, 7, 7],
+    [3, 5, 3, 5, 4, 2, 6, 4, 6, 3, 3, 3, 6, 6, 2, 8, 7, 3, 6, 4],
+    [5, 4, 2, 4, 4, 5, 5, 5, 5, 4, 3, 5, 4, 5, 2, 4, 10, 4, 4, 4],
+    [2, 2, 6, 2, 2, 6, 3, 4, 3, 8, 3, 5, 6, 5, 6, 6, 3, 6, 9, 7],
+    [3, 3, 6, 3, 3, 4, 3, 5, 7, 3, 3, 3, 6, 8, 3, 3, 3, 3, 3, 3],
+    [2, 3, 3, 3, 6, 3, 3, 3, 5, 3, 3, 3, 3, 3, 3, 6, 7, 3, 3, 12],
+    [0, 0, 3, 0, 8, 3, 12, 20, 0, 6, 3, 0, 3, 8, 13, 0, 24, 0, 0, 3],
+    [3, 3, 5, 3, 3, 0, 3, 6, 5, 3, 3, 3, 6, 6, 3, 3, 3, 4, 3, 9],
 ]
 
 
@@ -559,6 +561,42 @@ class TestFrozenFits:
             fit_frailty(ds)
             counts[i].append(len(calls))
         assert counts == GOLDEN_DERIV_CALLS
+
+    def test_boundary_stop_at_tau_0_15_changes_no_fit(self, monkeypatch):
+        # the search stops for the boundary once tau < 0.15 (it stopped at
+        # tau < 0.05): the fits are those of the later stop, with no more
+        # derivative evaluations, over tau2 from 0 to 0.3 and either shape
+        calls = []
+
+        def spy(*args, _real=frailty._loglik_derivs):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(frailty, "_loglik_derivs", spy)
+        datasets = [ds for _, ds in golden_datasets()] + [pilot_censored()]
+        for (n, m), tau2, nu, ct in itertools.product(
+                [(2, 1), (2, 2), (3, 2), (3, 3), (6, 5)], [0.0, 0.05, 0.3], [0.5, 2.0],
+                [None, 4.0]):
+            params = FrailtyParams(lam=0.2888113, nu=nu, beta=-1.098612, tau2=tau2,
+                                   censor=ct is not None, ct=ct)
+            datasets += [gen_frailty(n, m, params, replicate_stream(23, n, m, r))
+                         for r in range(10)]
+
+        def fits_and_calls():
+            out = []
+            for ds in datasets:
+                calls.clear()
+                out.append((repr(fit_frailty(ds)), len(calls)))
+            return out
+
+        new = fits_and_calls()
+        monkeypatch.setattr(frailty, "_LOG_TAU_PROBE", math.log(0.05))
+        old = fits_and_calls()
+        assert [fit for fit, _ in new] == [fit for fit, _ in old]
+        assert all(a <= b for (_, a), (_, b) in zip(new, old))
+        # the stop is reached early on most boundary fits
+        saved = [b - a for (fit, a), (_, b) in zip(new, old) if "tau2_hat=0.0," in fit]
+        assert sum(d > 0 for d in saved) > len(saved) // 2
 
     @pytest.mark.parametrize("r, boundary", [(0, True), (1, False)])
     def test_log_likelihood_is_a_float_on_either_branch(self, r, boundary):

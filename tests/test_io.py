@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from xenopower.datasets import pilot_path
 from xenopower.io import (
+    _JSON_KEYS,
     power_csv_text,
     power_json_dict,
     read_pilot_csv,
@@ -75,6 +79,27 @@ class TestReadPilotCsv:
         with pytest.raises(ValidationError, match="row 2"):
             read_pilot_csv(path)
 
+    @pytest.mark.parametrize("name", ["uncensored", "censored"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + pilot_path(name).read_bytes())
+        assert read_pilot_csv(path) == read_pilot_csv(pilot_path(name))
+
+    @pytest.mark.parametrize("header, duplicate", [
+        ("ID,Y,Tx,y", "'y'"), ("id,Y,Tx,ID", "'ID'"), ("ID,Y,Tx,status,Status", "'Status'"),
+    ])
+    def test_duplicate_column_is_rejected(self, tmp_path, header, duplicate):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n" + "".join(f"{k},1.0,{k % 2},1,1\n" for k in range(4)))
+        with pytest.raises(ValidationError, match=f"duplicate column {duplicate}"):
+            read_pilot_csv(path)
+
+    def test_repeated_unused_column_is_kept(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("ID,Y,Tx,note,note\na,1.0,0,x,y\nb,2.0,1,,\n")
+        assert [r.y for r in read_pilot_csv(path).rows] == [1.0, 2.0]
+
 
 def sample_table(model="frailty"):
     # awkward float values so round-trip failures would show
@@ -110,6 +135,50 @@ class TestPowerCsv:
     def test_frailty_csv_header(self):
         text = power_csv_text(sample_table())
         assert text.splitlines()[0] == "n,m,N,power_pct,convergence_pct,censoring_pct"
+
+
+# a valid row's fields with one replaced, as a tampered file would hold them
+OUT_OF_RANGE_ROWS = [
+    {"convergence": 150.0}, {"convergence": math.nan}, {"convergence": -0.5},
+    {"censoring": -5.0}, {"censoring": math.inf}, {"censoring": math.nan},
+    {"power": math.nan},
+]
+
+
+class TestPowerRowRanges:
+    @pytest.mark.parametrize("change", OUT_OF_RANGE_ROWS, ids=repr)
+    def test_csv_with_an_out_of_range_percentage_is_rejected(self, tmp_path, change):
+        table = sample_table()
+        path = tmp_path / "t.csv"
+        header, first, *rest = power_csv_text(table).splitlines()
+        columns = header.split(",")
+        values = first.split(",")
+        (name, value), = change.items()
+        values[columns.index(f"{name}_pct")] = repr(value)
+        path.write_text("\n".join([header, ",".join(values), *rest]) + "\n")
+        with pytest.raises(ValidationError, match=f"{name} must lie in \\[0,100\\]"):
+            read_power_csv(path)
+
+    @pytest.mark.parametrize("change", OUT_OF_RANGE_ROWS + [
+        {"n": 2.5, "total_animals": 10}, {"n": True, "total_animals": 4},
+        {"m": 0, "total_animals": 0}, {"n": -3, "m": -2, "total_animals": 12},
+        {"m": 2.0}, {"total_animals": 12.0},
+    ], ids=repr)
+    def test_json_with_an_invalid_row_is_rejected(self, tmp_path, change):
+        doc = power_json_dict(sample_table(), [])
+        doc["rows"][0].update({_JSON_KEYS.get(k, k): v for k, v in change.items()})
+        path = tmp_path / "t.json"
+        # json writes nan and inf as the NaN and Infinity that it reads back
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"is malformed: {next(iter(change))} must"):
+            read_power_json(path)
+
+    def test_limits_are_accepted(self):
+        row = sample_table().rows[0]
+        for name in ("power", "convergence", "censoring"):
+            for value in (0.0, 100.0):
+                assert getattr(replace(row, **{name: value}), name) == value
+        assert replace(row, n=np.int64(3), m=np.int32(2)).n == 3
 
 
 class TestPowerJson:
