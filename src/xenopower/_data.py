@@ -22,6 +22,7 @@ class Design:
     the treated row of ``arm``, the (2, N) control and treated indicators.
     ``sx`` holds the per-line sums of tx. ``J`` is the common line size
     when every line has J animals with tx summing to J/2, else None.
+    A record may have one line or one arm: as_arrays refuses such data.
     """
 
     codes: np.ndarray
@@ -30,7 +31,6 @@ class Design:
     tx: np.ndarray
     sx: np.ndarray
     Sx: float
-    both_arms: bool
     J: Optional[float]
     arm: np.ndarray
 
@@ -61,8 +61,7 @@ def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
         J = None
     for array in (codes, sizes, tx, sx, arm):
         array.flags.writeable = False
-    return Design(codes=codes, k=k, sizes=sizes, tx=tx, sx=sx, Sx=float(tx.sum()),
-                  both_arms=bool(tx.min() != tx.max()), J=J, arm=arm)
+    return Design(codes=codes, k=k, sizes=sizes, tx=tx, sx=sx, Sx=float(tx.sum()), J=J, arm=arm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +69,8 @@ class SimulatedDataset:
     """One simulated experiment, stored as flat per-animal arrays.
 
     Any line labels are accepted (generated data use 1..n); the fitters
-    number lines by first appearance. tx must be 0/1, checked at fit time.
+    number lines by first appearance. tx and status must be 0/1, and the
+    four arrays of equal length, checked at fit time.
     status is 1 for an observed event and 0 for an administratively
     censored record (whose y equals the censoring time exactly).
     """
@@ -107,14 +107,23 @@ def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
 
     A generated dataset brings its cell's design; any other container's is
     built here, numbering lines by first appearance and checking tx. A
-    SimulatedDataset's status comes back as stored (0/1 integers for
+    user-built SimulatedDataset must hold one entry per animal in each
+    array, with status 0/1. ValueError refuses data that fail these checks
+    and data neither model can fit: one line, one arm or an outcome <= 0.
+    A SimulatedDataset's status comes back as stored (0/1 integers for
     generated data; the fitters' arithmetic promotes them), and its y is
     uncopied when already float64, so callers must not write to them.
     """
     if isinstance(data, SimulatedDataset):
-        design = data._design or _build_design(data.line_index, data.tx)
-        return design, data.y.astype(np.float64, copy=False), data.status
-    if isinstance(data, PilotDataset):
+        design, y, status = data._design, data.y.astype(np.float64, copy=False), data.status
+        if design is None:
+            shape = (len(data.line_index),)
+            if any(np.shape(a) != shape for a in (data.line_index, data.tx, y, status)):
+                raise ValueError("line_index, tx, y and status must hold one entry per animal")
+            if not np.isin(status, (0, 1)).all():
+                raise ValueError("status must be 0 or 1 for every animal")
+            design = _build_design(data.line_index, data.tx)
+    elif isinstance(data, PilotDataset):
         # an object array, since a fixed-width string array drops trailing NULs
         ids = np.array([r.id for r in data.rows], dtype=object)
         tx = np.array([r.tx for r in data.rows], dtype=np.float64)
@@ -122,5 +131,13 @@ def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
         status = np.array(
             [1.0 if r.status is None else float(r.status) for r in data.rows], dtype=np.float64
         )
-        return _build_design(ids, tx), y, status
-    raise TypeError(f"expected SimulatedDataset or PilotDataset, got {type(data).__name__}")
+        design = _build_design(ids, tx)
+    else:
+        raise TypeError(f"expected SimulatedDataset or PilotDataset, got {type(data).__name__}")
+    if design.k < 2:
+        raise ValueError("fit requires at least 2 distinct lines")
+    if not 0 < design.Sx < design.codes.size:
+        raise ValueError("both treatment arms must be present")
+    if (y <= 0).any():
+        raise ValueError("all outcomes must be positive")
+    return design, y, status

@@ -207,8 +207,8 @@ def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
     dataset, by adaptive Gauss-Hermite quadrature over the frailty.
 
     ``params`` is the tuple (lam, nu, beta, tau2), checked as FrailtyParams
-    checks them; tau2 = 0 short-circuits to the no-frailty log-likelihood.
-    ``quad_points`` is a positive integer.
+    checks them, and ``data`` as as_arrays does; tau2 = 0 short-circuits
+    to the no-frailty log-likelihood. ``quad_points`` is a positive integer.
     """
     lam, nu, beta, tau2 = (float(v) for v in params)
     FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
@@ -446,8 +446,8 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
 
 
 def fit_frailty(data) -> FrailtyFit:
-    """Fit the Weibull frailty model to right-censored data by maximum
-    marginal likelihood.
+    """Fit the Weibull frailty model by maximum marginal likelihood to
+    right-censored data, which as_arrays checks (raising ValueError).
 
     The exact no-frailty optimum (tau = 0) starts a damped Newton search
     over (log lam, log nu, beta, log tau) with tau at 0.3, using the
@@ -471,9 +471,6 @@ def fit_frailty(data) -> FrailtyFit:
     with 3 lines x 3 animals per arm). See README, "Known limitations".
     """
     design, y, status = as_arrays(data)
-    if design.k < 2:
-        raise ValueError("fit requires at least 2 distinct lines")
-
     # the helpers set no errstate of their own: log(0) for a zero hazard and
     # overflowing trial iterates end at their finiteness checks
     with np.errstate(all="ignore"):

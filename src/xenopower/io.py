@@ -109,12 +109,18 @@ def write_power_csv(table: PowerTable, path) -> None:
 
 
 def read_power_csv(path) -> List[PowerRow]:
-    """Read rows written by write_power_csv back at full precision."""
+    """Read rows written by write_power_csv back at full precision. A file
+    that is not such a table raises ValidationError naming it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        columns = _csv_columns("censoring_pct" in (reader.fieldnames or ()))
-        return [PowerRow(**{name: kind(rec[header]) for header, name, kind in columns})
-                for rec in reader]
+        try:
+            columns = _csv_columns("censoring_pct" in (reader.fieldnames or ()))
+            return [PowerRow(**{name: kind(rec[header]) for header, name, kind in columns})
+                    for rec in reader]
+        except KeyError as exc:
+            raise ValidationError(f"power CSV file {path} has no column {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"power CSV file {path} is malformed: {exc}") from None
 
 
 # JSON keys that differ from the names of the dataclass fields they hold

@@ -68,7 +68,8 @@ _NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
 class _Sufficient:
     """Everything either REML path needs of one dataset: its design record
     and the sums of its log outcomes (per line, in all, of squares and
-    against tx)."""
+    against tx). An outcome of inf or nan raises ValueError, found from
+    the sum of squares before tx * log y could form 0 * inf."""
 
     __slots__ = ("design", "sy", "Sy", "Syy", "Sxy")
 
@@ -77,6 +78,8 @@ class _Sufficient:
         self.sy = np.bincount(design.codes, weights=logy, minlength=design.k)
         self.Sy = float(logy.sum())
         self.Syy = float(logy @ logy)
+        if not math.isfinite(self.Syy):
+            raise ValueError("all outcomes must be positive and finite")
         self.Sxy = float(design.tx @ logy)
 
 
@@ -157,19 +160,19 @@ def fit_lmm(data) -> LmmFit:
     """Fit the random-intercept model to a dataset by REML and compute the
     two-sided test of zero treatment effect.
 
-    Outcomes are supplied on the raw positive scale; the log is taken
-    internally. The test statistic beta_hat/se is referred to a Student-t
-    distribution with df = N - lines - 1.
+    The log of each outcome is taken internally, and beta_hat/se is
+    referred to a Student-t distribution with df = N - lines - 1. Data
+    that as_arrays refuses, fewer than 3 observations, no residual degree
+    of freedom (N - lines - 1 < 1) or an outcome of inf or nan raise
+    ValueError.
     """
     design, y, _status = as_arrays(data)
-    if design.k < 2:
-        raise ValueError("fit requires at least 2 distinct lines")
     if y.size < 3:
         raise ValueError("fit requires at least 3 observations")
-    if (y <= 0).any():
-        raise ValueError("all outcomes must be positive")
-    if not design.both_arms:
-        raise ValueError("both treatment arms must be present")
+    df = float(y.size - design.k - 1)
+    if df < 1:
+        raise ValueError(f"fit requires more observations than lines + 1, got {y.size} "
+                         f"observations in {design.k} lines")
 
     st = _Sufficient(design, np.log(y))
     balanced = _balanced_fit(st)
@@ -194,7 +197,6 @@ def fit_lmm(data) -> LmmFit:
     if not (math.isfinite(neg2) and var_beta > 0):
         return _NOT_CONVERGED
     se = math.sqrt(var_beta)
-    df = float(y.size - design.k - 1)
     p = 2.0 * float(stdtr(df, -abs(beta / se)))
     return LmmFit(
         beta0_hat=float(beta0),

@@ -111,6 +111,15 @@ class TestExitCodes:
         assert "at least 3 observations" in err
         assert out == ""
 
+    def test_pilot_without_a_residual_degree_of_freedom_is_3(self, capsys, tmp_path):
+        # three rows in two lines leave N - lines - 1 = 0 for the t reference
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("ID,Y,Tx\nA,1.0,0\nA,2.0,1\nB,3.0,0\n")
+        code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(tiny), *FAST)
+        assert code == 3
+        assert "more observations than lines + 1" in err
+        assert out == ""
+
     def test_infinite_pilot_outcome_is_3(self, capsys, tmp_path):
         # rejected as the pilot is read, before any fit warns about it
         lines = pilot_path("uncensored").read_text().splitlines()

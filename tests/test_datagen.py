@@ -238,7 +238,6 @@ def fresh_design(labels, tx):
     balanced = len(set(sizes)) == 1 and all(s == sizes[0] / 2 for s in sx)
     return dict(
         codes=codes, k=k, sizes=sizes, tx=[float(t) for t in tx], sx=sx, Sx=float(sum(tx)),
-        both_arms=min(tx) != max(tx),
         J=sizes[0] if balanced else None,
         member=[[float(c == i) for c in codes] for i in range(k)],
         arm=[[1.0 - float(t) for t in tx], [float(t) for t in tx]],
@@ -252,6 +251,14 @@ USER_BUILT = SimulatedDataset(
     y=np.array([2.5, 1.5, 4.75, 6.5, 1.25, 9.0, 2.5, 2.0, 5.25, 1.0, 5.5, 11.0]),
     status=np.ones(12, dtype=np.int64),
 )
+
+
+# the three public calls that read a dataset through as_arrays
+ENTRY_POINTS = {
+    "fit_lmm": fit_lmm,
+    "fit_frailty": fit_frailty,
+    "frailty_loglik": lambda data: frailty_loglik((0.3, 1.0, 0.5, 0.1), data),
+}
 
 
 class TestDesignRecord:
@@ -304,13 +311,38 @@ class TestDesignRecord:
         np.where(np.arange(12) == 0, 0.5, USER_BUILT.tx),
         np.where(np.arange(12) == 0, np.nan, USER_BUILT.tx),
     ], ids=["0,2", "0,0.5,1", "nan"])
-    @pytest.mark.parametrize("fit", [
-        fit_lmm, fit_frailty, lambda data: frailty_loglik((0.3, 1.0, 0.5, 0.1), data),
-    ], ids=["fit_lmm", "fit_frailty", "frailty_loglik"])
+    @pytest.mark.parametrize("fit", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
     def test_tx_other_than_0_or_1_is_refused(self, fit, tx):
         data = SimulatedDataset(line_index=USER_BUILT.line_index, tx=tx, y=USER_BUILT.y,
                                 status=USER_BUILT.status)
         with pytest.raises(ValueError, match="tx must be 0 or 1"):
+            fit(data)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(line_index=np.full(12, 7)), "2 distinct lines"),
+        (dict(tx=np.zeros(12)), "both treatment arms"),
+        (dict(tx=np.ones(12)), "both treatment arms"),
+        (dict(y=np.where(np.arange(12) == 0, 0.0, USER_BUILT.y)), "positive"),
+        (dict(y=-USER_BUILT.y), "positive"),
+        (dict(status=np.where(np.arange(12) == 0, 2, 1)), "status must be 0 or 1"),
+        (dict(status=np.where(np.arange(12) == 0, -1, 1)), "status must be 0 or 1"),
+        (dict(status=np.where(np.arange(12) == 0, 0.5, 1.0)), "status must be 0 or 1"),
+        (dict(status=USER_BUILT.status[:-1]), "one entry per animal"),
+        (dict(tx=USER_BUILT.tx[:-1]), "one entry per animal"),
+        (dict(y=USER_BUILT.y[1:]), "one entry per animal"),
+        (dict(line_index=USER_BUILT.line_index[:-1]), "one entry per animal"),
+    ], ids=["one line", "control only", "treated only", "y=0", "y<0", "status 2",
+            "status -1", "status 0.5", "status short", "tx short", "y short", "lines short"])
+    @pytest.mark.parametrize("fit", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_data_no_model_can_fit_is_refused_by_every_entry_point(self, fit, change, message):
+        with pytest.raises(ValueError, match=message):
+            fit(dataclasses.replace(USER_BUILT, **change))
+
+    @pytest.mark.parametrize("fit", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_a_generated_single_line_is_refused_when_fitted(self, fit):
+        # the generator builds the cell; its carried record cannot be fitted
+        data = gen_anova(1, 2, anova_params(), replicate_stream(5, 1, 2, 0))
+        with pytest.raises(ValueError, match="2 distinct lines"):
             fit(data)
 
 

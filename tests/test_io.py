@@ -136,6 +136,17 @@ class TestPowerCsv:
         text = power_csv_text(sample_table())
         assert text.splitlines()[0] == "n,m,N,power_pct,convergence_pct,censoring_pct"
 
+    @pytest.mark.parametrize("text, message", [
+        ("n,m,N,power_pct,convergence_pct\n2.5,1,5,50.0,100.0\n", "is malformed: invalid literal"),
+        ("n,m,power_pct,convergence_pct\n3,2,50.0,100.0\n", "has no column 'N'"),
+        ("n,m,N,power_pct,convergence_pct\n3,2,12\n", "is malformed"),
+    ], ids=["n=2.5", "no N column", "short row"])
+    def test_malformed_csv_is_a_validation_error_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"power CSV file {re.escape(str(path))} {message}"):
+            read_power_csv(path)
+
 
 # a valid row's fields with one replaced, as a tampered file would hold them
 OUT_OF_RANGE_ROWS = [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -418,4 +419,25 @@ class TestPreconditions:
             status=np.ones(4, dtype=np.int64),
         )
         with pytest.raises(ValueError, match="positive"):
+            fit_lmm(ds)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_outcome_is_hard_error_without_a_warning(self, y):
+        # tx * log y would form 0 * inf at a control animal's inf
+        ds = SimulatedDataset(
+            line_index=np.array([1, 1, 1, 2, 2, 2]),
+            tx=np.array([0, 1, 1, 0, 0, 1]),
+            y=np.array([y, 2.0, 3.0, 1.5, 2.5, 4.0]),
+            status=np.ones(6, dtype=np.int64),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_lmm(ds)
+
+    def test_no_residual_degree_of_freedom_is_hard_error(self):
+        # N - lines - 1 = 3 - 2 - 1 = 0 leaves no t reference for the test
+        ds = PilotDataset(rows=(PilotRecord("A", 1.0, 0), PilotRecord("A", 2.0, 1),
+                                PilotRecord("B", 3.0, 0)))
+        with pytest.raises(ValueError, match="more observations than lines \\+ 1"):
             fit_lmm(ds)
