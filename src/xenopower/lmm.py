@@ -16,7 +16,8 @@ record, whose tx is checked to be 0/1, and one container of sums of
 log y. Every line of a balanced design has the same weight in the
 profile, so its fit needs only the line and arm counts and four running
 sums (sum log y, sum (log y)^2, sum tx*log y and the sum of squared line
-totals of log y), then scalar arithmetic. Unbalanced data, such as a
+totals of log y), then scalar arithmetic; the engine decides a stack of
+simulated datasets at once by the same rules. Unbalanced data, such as a
 pilot with a lost animal, get the general per-line profile and a bounded
 one-dimensional search over log theta, with the boundary theta = 0
 always evaluated as a candidate; that path is also the reference the
@@ -68,8 +69,7 @@ _NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
 class _Sufficient:
     """Everything either REML path needs of one dataset: its design record
     and the sums of its log outcomes (per line, in all, of squares and
-    against tx). An outcome of inf or nan raises ValueError, found from
-    the sum of squares before tx * log y could form 0 * inf."""
+    against tx)."""
 
     __slots__ = ("design", "sy", "Sy", "Syy", "Sxy")
 
@@ -78,8 +78,6 @@ class _Sufficient:
         self.sy = np.bincount(design.codes, weights=logy, minlength=design.k)
         self.Sy = float(logy.sum())
         self.Syy = float(logy @ logy)
-        if not math.isfinite(self.Syy):
-            raise ValueError("all outcomes must be positive and finite")
         self.Sxy = float(design.tx @ logy)
 
 
@@ -156,15 +154,53 @@ def _balanced_fit(st: _Sufficient):
     return theta, _solve(a00, 0.5 * a00, a11, b0, b1, ytwy, logdet_v0, N, Syy)
 
 
+def _balanced_tests(y: np.ndarray, design: Design, alpha: float):
+    """(rejected, converged, p_value) of fit_lmm and wald_test_lmm for
+    each row of y, an (R, N) stack of outcomes on one balanced design whose
+    lines are contiguous blocks of J animals (as datagen lays them out).
+    A row that does not converge has p_value nan and is not rejected.
+
+    Row by row this is _balanced_fit in its ANOVA form, which does not
+    cancel at a large theta: the within-line SS W, the between-line SS B
+    and the arm contrast D = sum (tx - 1/2) log y give theta by the same
+    rules, rss = W + B/(1 + theta*J), beta_hat = 4D/N and
+    var(beta_hat) = 4 sigma2/N. A row converges by _solve's rules; a row
+    that as_arrays would refuse (an outcome of 0 or inf) has an infinite
+    sum of squares, so it converges by none.
+    """
+    R, N = y.shape
+    k, J = design.k, int(design.J)
+    df = N - k - 1
+    with np.errstate(all="ignore"):
+        logy = np.log(y)
+        Sy = logy.sum(axis=1)
+        Syy = np.einsum("ij,ij->i", logy, logy)
+        lines = logy.reshape(R, k, J).sum(axis=2)
+        ssl = np.einsum("ij,ij->i", lines, lines) / J
+        D = logy @ (design.tx - 0.5)
+        W = Syy - ssl - D * D / (N / 4.0)
+        B = ssl - Sy * Sy / N
+        msw = W / df
+        theta = np.where(msw > 0, (B / (k - 1) - msw) / (J * msw), _THETA_HI)
+        theta = np.where(theta <= _THETA_LO, 0.0, np.minimum(theta, _THETA_HI))
+        rss = W + B / (1.0 + theta * J)
+        var_beta = 4.0 * (rss / (N - 2)) / N
+        converged = (rss > N * _EPS * Syy) & np.isfinite(var_beta) & (var_beta > 0)
+        p = np.where(converged, 2.0 * stdtr(df, -np.abs(4.0 * D / N / np.sqrt(var_beta))),
+                     np.nan)
+        rejected = p < alpha
+    return rejected, converged, p
+
+
 def fit_lmm(data) -> LmmFit:
     """Fit the random-intercept model to a dataset by REML and compute the
     two-sided test of zero treatment effect.
 
     The log of each outcome is taken internally, and beta_hat/se is
     referred to a Student-t distribution with df = N - lines - 1. Data
-    that as_arrays refuses, fewer than 3 observations, no residual degree
-    of freedom (N - lines - 1 < 1) or an outcome of inf or nan raise
-    ValueError.
+    that as_arrays refuses (an outcome of 0, inf or nan among them), fewer
+    than 3 observations or no residual degree of freedom
+    (N - lines - 1 < 1) raise ValueError.
     """
     design, y, _status = as_arrays(data)
     if y.size < 3:

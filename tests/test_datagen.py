@@ -324,6 +324,8 @@ class TestDesignRecord:
         (dict(tx=np.ones(12)), "both treatment arms"),
         (dict(y=np.where(np.arange(12) == 0, 0.0, USER_BUILT.y)), "positive"),
         (dict(y=-USER_BUILT.y), "positive"),
+        (dict(y=np.where(np.arange(12) == 0, np.inf, USER_BUILT.y)), "positive and finite"),
+        (dict(y=np.where(np.arange(12) == 0, np.nan, USER_BUILT.y)), "positive and finite"),
         (dict(status=np.where(np.arange(12) == 0, 2, 1)), "status must be 0 or 1"),
         (dict(status=np.where(np.arange(12) == 0, -1, 1)), "status must be 0 or 1"),
         (dict(status=np.where(np.arange(12) == 0, 0.5, 1.0)), "status must be 0 or 1"),
@@ -331,7 +333,7 @@ class TestDesignRecord:
         (dict(tx=USER_BUILT.tx[:-1]), "one entry per animal"),
         (dict(y=USER_BUILT.y[1:]), "one entry per animal"),
         (dict(line_index=USER_BUILT.line_index[:-1]), "one entry per animal"),
-    ], ids=["one line", "control only", "treated only", "y=0", "y<0", "status 2",
+    ], ids=["one line", "control only", "treated only", "y=0", "y<0", "y=inf", "y=nan", "status 2",
             "status -1", "status 0.5", "status short", "tx short", "y short", "lines short"])
     @pytest.mark.parametrize("fit", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
     def test_data_no_model_can_fit_is_refused_by_every_entry_point(self, fit, change, message):

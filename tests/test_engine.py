@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from concurrent.futures import Executor, Future
 from dataclasses import replace
 
@@ -131,7 +132,8 @@ class TestReplicatePipeline:
             assert row.censoring == float(100.0 * np.mean(censoring))
 
     # the traced benchmark times each layer by swapping these names on the
-    # engine module, so every replicate must reach its layers through them
+    # engine module, so every replicate must reach its layers through them;
+    # rebinding any ANOVA name selects the per-replicate loop over the stack
     LAYERS = ("replicate_stream", "gen_anova", "gen_frailty", "fit_lmm", "fit_frailty",
               "wald_test_lmm", "wald_test_frailty")
 
@@ -170,6 +172,58 @@ class TestReplicatePipeline:
         assert 0 < len(converged) <= replicates
         assert not any(calls[name] for name in self.LAYERS
                        if name not in ("replicate_stream", gen, fit, test))
+
+    ANOVA_LAYERS = ("replicate_stream", "gen_anova", "fit_lmm", "wald_test_lmm")
+
+    # tau2 = 0 with beta = 0, and tau2/sigma2 = 2e4
+    @pytest.mark.parametrize("model", [
+        ANOVA_PILOT,
+        AnovaParams(beta0=0.5, beta=0.0, tau2=0.0, sigma2=0.4),
+        AnovaParams(beta0=0.0653, beta=0.7299, tau2=0.4, sigma2=2e-5),
+    ], ids=["pilot", "null-boundary", "large-ratio"])
+    @pytest.mark.parametrize("alpha", [0.01, 0.2])
+    def test_stacked_grid_equals_the_loop(self, monkeypatch, model, alpha):
+        # sim = 600 splits each cell into chunks of 512 and 88
+        grid = DesignGrid(n_values=(2, 3), m_values=(1, 2), sim=600, alpha=alpha, seed=78)
+        job = PowerJob(grid=grid, model=model, worker_count=1)
+        stacks = []
+
+        def spy(*args):
+            stacks.append(args[0].shape)
+            return balanced_tests(*args)
+
+        balanced_tests = engine._balanced_tests
+        monkeypatch.setattr(engine, "_balanced_tests", spy)
+        stacked = run_power_grid(job)
+        assert stacks == [(512, 4), (88, 4), (512, 8), (88, 8), (512, 6), (88, 6),
+                          (512, 12), (88, 12)]
+        for name in self.ANOVA_LAYERS:
+            monkeypatch.setattr(engine, name, lambda *args, _inner=getattr(engine, name):
+                                _inner(*args))
+        assert run_power_grid(job) == stacked
+        assert len(stacks) == 8  # the loop never stacks
+
+    def test_stacked_outcomes_are_gen_anova_outcomes(self, monkeypatch):
+        # replicates 500..529 cross the 512-replicate block of stream keys
+        stacked = []
+
+        def spy(y, design, alpha):
+            stacked.append(y.copy())
+            return balanced_tests(y, design, alpha)
+
+        balanced_tests = engine._balanced_tests
+        monkeypatch.setattr(engine, "_balanced_tests", spy)
+        p = ANOVA_PILOT
+        for n, m in [(2, 1), (3, 2), (7, 3), (10, 8)]:
+            engine._run_chunk((p, n, m, 0.05, 77, 500, 530))
+            for r, row in zip(range(500, 530), stacked.pop()):
+                data = gen_anova(n, m, p, replicate_stream(77, n, m, r))
+                # the model drawn term by term with normal(), line effects first
+                stream = replicate_stream(77, n, m, r)
+                line_eff = stream.normal(0.0, math.sqrt(p.tau2), size=n)
+                eps = stream.normal(0.0, math.sqrt(p.sigma2), size=2 * n * m)
+                drawn = np.exp(p.beta0 + data.tx * p.beta + line_eff[data.line_index - 1] + eps)
+                assert row.tobytes() == data.y.tobytes() == drawn.tobytes(), (n, m, r)
 
     def test_anova_chunk_never_reads_censoring(self, monkeypatch):
         # uncensored data have no censoring to average, and no row reports it

@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 
 from conftest import arithmetic_fingerprint, arm_means_log
-from xenopower import lmm
+from xenopower import datagen, lmm
 from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_anova, replicate_stream
 from xenopower.datasets import pilot_censored, pilot_uncensored
@@ -265,6 +265,92 @@ class TestFrozenFits:
         if arithmetic_fingerprint((d.tx, y) for d, y, _ in arrays) != self.ARITHMETIC:
             pytest.skip("numpy's exp, log or BLAS dot rounds differently on this platform")
         assert digest.hexdigest() == self.FITS
+
+
+def loop_tests(datasets, alpha):
+    """Oracle for lmm._balanced_tests: (rejected, converged, p_value) of
+    fit_lmm and wald_test_lmm one dataset at a time, where a ValueError
+    from as_arrays counts as not converged."""
+    rejected, converged, p = [], [], []
+    for ds in datasets:
+        try:
+            fit = fit_lmm(ds)
+        except ValueError:
+            fit = lmm._NOT_CONVERGED
+        converged.append(fit.converged)
+        rejected.append(fit.converged and wald_test_lmm(fit, alpha))
+        p.append(fit.p_value)
+    return np.array(rejected), np.array(converged), np.array(p)
+
+
+def stacked_tests(n, m, rows, alpha):
+    """lmm._balanced_tests on rows of outcomes of cell (n, m), with no
+    numpy warning let through, and the datasets those rows make."""
+    line, tx, status, design = datagen._design_arrays(n, m)
+    y = np.array(rows, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = lmm._balanced_tests(y, design, alpha)
+    return stacked, [SimulatedDataset(line_index=line, tx=tx, y=row, status=status) for row in y]
+
+
+class TestStackedTests:
+    # pilot-like, a true null on the boundary, and tau2/sigma2 = 5e4, where
+    # the per-line profile loses about 1e-10 of sigma2 to cancellation
+    PARAMS = (AnovaParams(beta0=0.0653, beta=0.7299, tau2=0.0332, sigma2=0.386),
+              AnovaParams(beta0=1.0, beta=0.0, tau2=0.0, sigma2=0.4),
+              AnovaParams(beta0=-2.0, beta=0.3, tau2=2.0, sigma2=0.05),
+              AnovaParams(beta0=0.5, beta=0.02, tau2=0.5, sigma2=1e-5))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_decisions_equal_fit_lmm_on_generated_cells(self, alpha):
+        worst, boundary = 0.0, 0
+        for i, params in enumerate(self.PARAMS):
+            for n, m in [(2, 1), (3, 2), (6, 5), (10, 8), (2, 4)]:
+                datasets = [gen_anova(n, m, params, replicate_stream(40 + i, n, m, r))
+                            for r in range(60)]
+                (rejected, converged, p), _ = stacked_tests(n, m, [d.y for d in datasets],
+                                                            alpha)
+                want_rejected, want_converged, want_p = loop_tests(datasets, alpha)
+                cell = f"(n={n}, m={m}, {params})"
+                assert np.array_equal(converged, want_converged), cell
+                assert np.array_equal(rejected, want_rejected), cell
+                assert np.array_equal(np.isnan(p), ~converged), cell
+                worst = max(worst, float(np.max(np.abs(p - want_p), initial=0.0,
+                                                where=converged)))
+                boundary += sum(fit_lmm(d).tau2_hat == 0 for d in datasets)
+        assert worst <= 1e-9  # 2.3e-11 on these draws
+        assert boundary >= 200  # the theta = 0 rule is exercised
+
+    def test_edge_rows_decide_as_the_loop(self):
+        n, m = 4, 3
+        line, tx, _status, _design = datagen._design_arrays(n, m)
+        noise = np.random.default_rng(5).standard_normal(line.size)
+        log_rows = [
+            # no within-line spread: msw is 0 or rounding noise on either side of it
+            0.3 * line + 0.7 * tx,
+            0.3 * line,
+            0.25 * line + 0.5 * tx,
+            0.3 * line + 0.7 * tx + 0.2 * noise,
+            50.0 * line + 0.7 * tx + 1e-3 * noise,  # theta clamped at its upper end
+            np.zeros(line.size),  # all outcomes 1, log y exactly 0
+            np.full(line.size, math.log(3.0)),  # all equal, with rounding noise
+            np.full(line.size, math.log(7.3)),
+            np.where(np.arange(line.size) == 4, 800.0, 0.2 * noise),  # one overflows to inf
+            np.where(np.arange(line.size) == 4, -800.0, 0.2 * noise),  # one underflows to 0
+            np.where(np.arange(line.size) == 4, -720.0, 0.2 * noise),  # one subnormal
+        ]
+        with np.errstate(over="ignore", under="ignore"):
+            rows = np.exp(log_rows)
+        assert rows[8, 4] == np.inf and rows[9, 4] == 0.0 and 0.0 < rows[10, 4] < 1e-300
+        for alpha in (0.01, 0.05):
+            (rejected, converged, p), datasets = stacked_tests(n, m, rows, alpha)
+            want_rejected, want_converged, want_p = loop_tests(datasets, alpha)
+            assert converged.tolist() == want_converged.tolist()
+            assert rejected.tolist() == want_rejected.tolist()
+            assert np.allclose(p, want_p, rtol=1e-9, atol=1e-12, equal_nan=True)
+        # every rule is taken: an exact fit and a refused outcome fail, the rest converge
+        assert converged.tolist() == [True] * 5 + [False] * 5 + [True]
 
 
 class TestRouting:
