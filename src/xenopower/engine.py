@@ -49,7 +49,7 @@ __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
 
 # replicates per chunk, by model. A frailty replicate takes about 0.9 ms on
 # a 2-core host, so a chunk of 32 keeps a worker round trip (about 0.4 ms)
-# a small share of its work. A stacked ANOVA chunk takes 7-15 us per
+# a small share of its work. A stacked ANOVA chunk takes 7-19 us per
 # replicate; 512 is also datagen._BLOCK, the replicates whose stream keys
 # are hashed together.
 _CHUNK = {FrailtyParams: 32, AnovaParams: 512}
