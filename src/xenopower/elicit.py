@@ -44,7 +44,7 @@ def elicit_anova_from_pilot(data: PilotDataset) -> AnovaParams:
         )
     fit = fit_lmm(data)
     if not fit.converged:
-        raise ValueError("variance-ratio search did not converge on the pilot data")
+        raise ValueError("REML fit did not converge on the pilot data")
     return AnovaParams(
         beta0=fit.beta0_hat, beta=fit.beta_hat, tau2=fit.tau2_hat, sigma2=fit.sigma2_hat
     )

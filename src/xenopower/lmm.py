@@ -11,17 +11,15 @@ to the single parameter theta. Under balance (every line with the same
 number of animals, half of them treated) the treatment contrast is
 orthogonal to the lines and the REML theta is the ANOVA mean-squares
 estimate (Searle, Casella & McCulloch, Variance Components, 1992, ch. 4),
-so simulated designs get it in closed form. Both paths read the design
-record, whose tx is checked to be 0/1, and one container of sums of
-log y. Every line of a balanced design has the same weight in the
-profile, so its fit needs only the line and arm counts and four running
-sums (sum log y, sum (log y)^2, sum tx*log y and the sum of squared line
-totals of log y), then scalar arithmetic; the engine decides a stack of
-simulated datasets at once by the same rules. Unbalanced data, such as a
+so simulated designs get it in closed form. One kernel applies that rule
+to four sums of log y (sum log y, sum (log y)^2, the sum of squared line
+totals and the arm contrast), for one dataset in fit_lmm or for a stack
+of simulated datasets at once in the engine. Unbalanced data, such as a
 pilot with a lost animal, get the general per-line profile and a bounded
 one-dimensional search over log theta, with the boundary theta = 0
 always evaluated as a candidate; that path is also the reference the
-balanced one is tested against. Either way tau2_hat = 0 is a legal
+balanced rule is tested against. Both paths read the design record and
+one container of sums of log y. Either way tau2_hat = 0 is a legal
 estimate.
 """
 
@@ -82,7 +80,9 @@ class _Sufficient:
 
 
 def _profile(theta: float, st: _Sufficient):
-    """Evaluate the profiled REML criterion at variance ratio theta.
+    """Evaluate the profiled REML criterion at variance ratio theta from
+    the V0-weighted cross-products of X = [1, tx] and log y (a = X'WX,
+    b = X'Wy, ytwy = y'Wy with W = V0^-1).
 
     Returns (-2 * restricted log-likelihood, beta0, beta, sigma2, var_beta).
     """
@@ -96,14 +96,6 @@ def _profile(theta: float, st: _Sufficient):
     b0 = st.Sy - float(ci @ (ni * st.sy))
     b1 = st.Sxy - float(ci @ (sx * st.sy))
     ytwy = st.Syy - float(ci @ (st.sy * st.sy))
-    logdet_v0 = float(np.sum(np.log1p(theta * ni)))
-    return _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, st.Syy)
-
-
-def _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, Syy):
-    """The profiled criterion from the V0-weighted cross-products of
-    X = [1, tx] and log y (a = X'WX, b = X'Wy, ytwy = y'Wy with
-    W = V0^-1), as _profile returns it."""
     det = a00 * a11 - a01 * a01
     if not det > 0:
         return math.inf, math.nan, math.nan, math.nan, math.nan
@@ -113,80 +105,63 @@ def _solve(a00, a01, a11, b0, b1, ytwy, logdet_v0, N, Syy):
     dof = N - 2
     sigma2 = rss / dof
     # a residual within rounding of the sums is an exact fit, sigma2 = 0
-    if not rss > N * _EPS * Syy or not math.isfinite(sigma2):
+    if not rss > N * _EPS * st.Syy or not math.isfinite(sigma2):
         return math.inf, math.nan, math.nan, math.nan, math.nan
+    logdet_v0 = float(np.sum(np.log1p(theta * ni)))
     neg2ll = dof * (math.log(2.0 * math.pi * sigma2) + 1.0) + logdet_v0 + math.log(det)
     var_beta = sigma2 * a00 / det
     return neg2ll, beta0, beta, sigma2, var_beta
 
 
-def _balanced_fit(st: _Sufficient):
-    """(theta, _profile at theta) for a balanced design, or None when the
-    design is not balanced: k lines of J animals each, tx summing to J/2
-    in every line (half of each line treated).
+def _balanced_rows(Sy, Syy, Q, D, N: int, k: int, J):
+    """The balanced REML fit, for one dataset (np.float64 sums) or for
+    arrays of rows, as (theta, sigma2, beta, var_beta, converged).
 
-    theta is the ANOVA mean-squares estimate, clamped to the search's
-    range. Every line has the same weight c = theta/(1 + theta*J) in the
-    profile, so each per-line dot product of _profile is c times a sum.
+    A balanced design has k lines of J animals each, half of each line
+    treated (Design.J is not None), and N = kJ. Its fit needs only
+    Sy = sum log y, Syy = sum (log y)^2, Q = the sum over lines of the
+    squared line total of log y and the arm contrast
+    D = sum (tx - 1/2) log y. The within-line SS W, the between-line SS B
+    and D give theta, the ANOVA mean-squares estimate: theta <= _THETA_LO
+    is the boundary theta = 0, and theta is clamped at _THETA_HI (its value
+    when the within-line mean square is not positive). Then
+    rss = W + B/(1 + theta*J), which does not cancel at a large theta,
+    beta_hat = 4D/N and var(beta_hat) = 4 sigma2/N. A fit converges when
+    rss is above the rounding of the sums (else it is exact, sigma2 = 0)
+    and var(beta_hat) is positive and finite.
     """
-    N, k, J = st.design.codes.size, st.design.k, st.design.J
-    if J is None:
-        return None
-    Sy, Syy, Sxy = st.Sy, st.Syy, st.Sxy
-    Q = float(st.sy @ st.sy)  # sum over lines of the squared line total of log y
-    ssl = Q / J
-    # within-line spread of 0/1 tx around its line mean of 1/2
-    sxx_w = N / 4.0
-    msw = (Syy - ssl - (Sxy - Sy / 2.0) ** 2 / sxx_w) / (N - k - 1)
-    msb = (ssl - Sy * Sy / N) / (k - 1)
-    theta = (msb - msw) / (J * msw) if msw > 0 else _THETA_HI
-    theta = 0.0 if theta <= _THETA_LO else min(theta, _THETA_HI)
-    d = 1.0 + theta * J
-    c = theta / d
-    cJ = c * J
-    # 1 - cJ = 1/d, which cancels when formed as a difference at large theta
-    a00 = N / d
-    a11 = N / 2.0 - cJ * N / 4.0
-    b0 = Sy / d
-    b1 = Sxy - cJ * Sy / 2.0
-    ytwy = Syy - c * Q
-    logdet_v0 = k * math.log1p(theta * J)
-    return theta, _solve(a00, 0.5 * a00, a11, b0, b1, ytwy, logdet_v0, N, Syy)
+    with np.errstate(all="ignore"):
+        ssl = Q / J
+        W = Syy - ssl - D * D / (N / 4.0)
+        B = ssl - Sy * Sy / N
+        msw = W / (N - k - 1)
+        theta = np.where(msw > 0, (B / (k - 1) - msw) / (J * msw), _THETA_HI)
+        theta = np.where(theta <= _THETA_LO, 0.0, np.minimum(theta, _THETA_HI))
+        rss = W + B / (1.0 + theta * J)
+        sigma2 = rss / (N - 2)
+        var_beta = 4.0 * sigma2 / N
+        converged = (rss > N * _EPS * Syy) & np.isfinite(var_beta) & (var_beta > 0)
+    return theta, sigma2, 4.0 * D / N, var_beta, converged
 
 
 def _balanced_tests(y: np.ndarray, design: Design, alpha: float):
     """(rejected, converged, p_value) of fit_lmm and wald_test_lmm for
     each row of y, an (R, N) stack of outcomes on one balanced design whose
     lines are contiguous blocks of J animals (as datagen lays them out).
-    A row that does not converge has p_value nan and is not rejected.
-
-    Row by row this is _balanced_fit in its ANOVA form, which does not
-    cancel at a large theta: the within-line SS W, the between-line SS B
-    and the arm contrast D = sum (tx - 1/2) log y give theta by the same
-    rules, rss = W + B/(1 + theta*J), beta_hat = 4D/N and
-    var(beta_hat) = 4 sigma2/N. A row converges by _solve's rules; a row
-    that as_arrays would refuse (an outcome of 0 or inf) has an infinite
-    sum of squares, so it converges by none.
+    A row that does not converge has p_value nan and is not rejected; a
+    row that as_arrays would refuse (an outcome of 0 or inf) has an
+    infinite sum of squares, so it converges by none of _balanced_rows's
+    rules.
     """
     R, N = y.shape
     k, J = design.k, int(design.J)
-    df = N - k - 1
     with np.errstate(all="ignore"):
         logy = np.log(y)
-        Sy = logy.sum(axis=1)
-        Syy = np.einsum("ij,ij->i", logy, logy)
         lines = logy.reshape(R, k, J).sum(axis=2)
-        ssl = np.einsum("ij,ij->i", lines, lines) / J
-        D = logy @ (design.tx - 0.5)
-        W = Syy - ssl - D * D / (N / 4.0)
-        B = ssl - Sy * Sy / N
-        msw = W / df
-        theta = np.where(msw > 0, (B / (k - 1) - msw) / (J * msw), _THETA_HI)
-        theta = np.where(theta <= _THETA_LO, 0.0, np.minimum(theta, _THETA_HI))
-        rss = W + B / (1.0 + theta * J)
-        var_beta = 4.0 * (rss / (N - 2)) / N
-        converged = (rss > N * _EPS * Syy) & np.isfinite(var_beta) & (var_beta > 0)
-        p = np.where(converged, 2.0 * stdtr(df, -np.abs(4.0 * D / N / np.sqrt(var_beta))),
+        _theta, _sigma2, beta, var_beta, converged = _balanced_rows(
+            logy.sum(axis=1), np.einsum("ij,ij->i", logy, logy),
+            np.einsum("ij,ij->i", lines, lines), logy @ (design.tx - 0.5), N, k, J)
+        p = np.where(converged, 2.0 * stdtr(N - k - 1, -np.abs(beta / np.sqrt(var_beta))),
                      np.nan)
         rejected = p < alpha
     return rejected, converged, p
@@ -211,9 +186,17 @@ def fit_lmm(data) -> LmmFit:
                          f"observations in {design.k} lines")
 
     st = _Sufficient(design, np.log(y))
-    balanced = _balanced_fit(st)
-    if balanced is not None:
-        theta, (neg2, beta0, beta, sigma2, var_beta) = balanced
+    if design.J is not None:
+        N, k, J = y.size, design.k, design.J
+        theta, sigma2, beta, var_beta, converged = _balanced_rows(
+            np.float64(st.Sy), np.float64(st.Syy), st.sy @ st.sy,
+            np.float64(st.Sxy - st.Sy / 2.0), N, k, J)
+        if not converged:
+            return _NOT_CONVERGED
+        # log det V0 = k log(1 + theta*J); det X'V0^-1 X = N^2/(4(1 + theta*J))
+        neg2 = ((N - 2) * (math.log(2.0 * math.pi * sigma2) + 1.0)
+                + k * math.log1p(theta * J) + math.log(N * N / (4.0 * (1.0 + theta * J))))
+        beta0 = st.Sy / N - beta / 2.0
     else:
         # only unbalanced data (a pilot with a lost animal) pay for this import
         from scipy.optimize import minimize_scalar
@@ -230,8 +213,8 @@ def fit_lmm(data) -> LmmFit:
         if theta <= _THETA_LO:
             theta = 0.0
         neg2, beta0, beta, sigma2, var_beta = _profile(theta, st)
-    if not (math.isfinite(neg2) and var_beta > 0):
-        return _NOT_CONVERGED
+        if not (math.isfinite(neg2) and var_beta > 0):
+            return _NOT_CONVERGED
     se = math.sqrt(var_beta)
     p = 2.0 * float(stdtr(df, -abs(beta / se)))
     return LmmFit(

@@ -120,6 +120,18 @@ class TestExitCodes:
         assert "more observations than lines + 1" in err
         assert out == ""
 
+    def test_pilot_the_fit_cannot_converge_on_is_3(self, capsys, tmp_path):
+        # a balanced pilot with every outcome equal is an exact fit, sigma2 = 0;
+        # the closed form runs no search, so the message names the fit
+        flat = tmp_path / "flat.csv"
+        flat.write_text("ID,Y,Tx\n" + "".join(f"{line},2.0,{tx}\n" for line in "ABC"
+                                              for tx in (0, 1, 0, 1)))
+        code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(flat), *FAST)
+        assert code == 3
+        assert "REML fit did not converge on the pilot data" in err
+        assert "search" not in err
+        assert out == ""
+
     def test_infinite_pilot_outcome_is_3(self, capsys, tmp_path):
         # rejected as the pilot is read, before any fit warns about it
         lines = pilot_path("uncensored").read_text().splitlines()

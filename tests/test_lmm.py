@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -11,7 +12,7 @@ import scipy.optimize
 
 from conftest import arithmetic_fingerprint, arm_means_log
 from xenopower import datagen, lmm
-from xenopower._data import as_arrays
+from xenopower._data import _carrying, as_arrays
 from xenopower.datagen import SimulatedDataset, gen_anova, replicate_stream
 from xenopower.datasets import pilot_censored, pilot_uncensored
 from xenopower.lmm import fit_lmm, wald_test_lmm
@@ -106,11 +107,12 @@ class TestAgainstOracles:
         assert fit.log_restricted_likelihood >= restricted_loglik_at(pilot_lognormal, 1e6) - 1e-8
 
 
-def search_fit(monkeypatch, data):
-    """Oracle: the bounded search fit, with the closed form switched off."""
-    with monkeypatch.context() as mp:
-        mp.setattr(lmm, "_balanced_fit", lambda st: None)
-        return fit_lmm(data)
+def search_fit(data):
+    """Oracle: fit_lmm by the bounded search, on a view of the data whose
+    design record does not claim balance."""
+    design, y, status = as_arrays(data)
+    view = SimulatedDataset(line_index=design.codes, tx=design.tx, y=y, status=status)
+    return fit_lmm(_carrying(view, dataclasses.replace(design, J=None)))
 
 
 def sufficient(data):
@@ -118,8 +120,17 @@ def sufficient(data):
     return lmm._Sufficient(design, np.log(y))
 
 
+def balanced_rows(st):
+    """lmm._balanced_rows on the sums fit_lmm hands it, as
+    (theta, sigma2, beta, var_beta, converged)."""
+    design = st.design
+    return lmm._balanced_rows(np.float64(st.Sy), np.float64(st.Syy), st.sy @ st.sy,
+                              np.float64(st.Sxy - st.Sy / 2.0), design.codes.size, design.k,
+                              design.J)
+
+
 def closed_form_theta(ds):
-    return lmm._balanced_fit(sufficient(ds))[0]
+    return balanced_rows(sufficient(ds))[0]
 
 
 def restricted_loglik_at(data, theta):
@@ -143,7 +154,7 @@ def general_profile_fit(ds, theta):
 
 
 class TestBalancedClosedForm:
-    def test_matches_search_on_random_balanced_cells(self, monkeypatch):
+    def test_matches_search_on_random_balanced_cells(self):
         rng = np.random.default_rng(20261018)
         boundary = 0
         for r in range(300):
@@ -151,7 +162,7 @@ class TestBalancedClosedForm:
             tau2 = float(rng.choice([0.0, 0.01, 0.1, 0.5, 2.0]))
             params = AnovaParams(beta0=1.0, beta=0.5, tau2=tau2, sigma2=0.4)
             ds = gen_anova(n, m, params, replicate_stream(11, n, m, r))
-            fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+            fast, slow = fit_lmm(ds), search_fit(ds)
             cell = f"(n={n}, m={m}, tau2={tau2}, r={r})"
             assert fast.converged == slow.converged, cell
             assert (fast.tau2_hat == 0) == (slow.tau2_hat == 0), cell
@@ -168,20 +179,20 @@ class TestBalancedClosedForm:
                 assert got == pytest.approx(want, rel=1e-12, abs=0), cell
         assert boundary >= 30  # the tau2_hat = 0 decision is exercised
 
-    def test_zero_within_line_ss(self, monkeypatch):
+    def test_zero_within_line_ss(self):
         # y = line effect + treatment effect exactly: MSW = 0 clamps theta
         ds = balanced_design(4, 3, lambda line, tx: 0.3 * line + 0.7 * tx)
         assert closed_form_theta(ds) == 1e6
-        fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+        fast, slow = fit_lmm(ds), search_fit(ds)
         assert fast.converged and slow.converged
         assert fast.beta_hat == pytest.approx(0.7, abs=1e-12)
         assert abs(fast.p_value - slow.p_value) <= 1e-6
 
     @pytest.mark.parametrize("value", [1.0, 3.0, 7.3])
-    def test_all_outcomes_equal_is_not_converged(self, monkeypatch, value):
+    def test_all_outcomes_equal_is_not_converged(self, value):
         # log 1 = 0 is exact; other constants leave rounding noise in the residual
         ds = balanced_design(4, 3, lambda line, tx: np.full(line.size, math.log(value)))
-        fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+        fast, slow = fit_lmm(ds), search_fit(ds)
         assert not fast.converged
         assert not slow.converged
 
@@ -196,59 +207,64 @@ class TestBalancedClosedForm:
             return res
 
         monkeypatch.setattr(scipy.optimize, "minimize_scalar", failing)
-        fit = search_fit(monkeypatch, pilot_lognormal)
+        fit = search_fit(pilot_lognormal)
         assert not fit.converged
         estimates = (fit.beta0_hat, fit.beta_hat, fit.se_beta, fit.tau2_hat, fit.sigma2_hat,
                      fit.df, fit.p_value)
         assert all(math.isnan(v) for v in estimates)
         assert fit.log_restricted_likelihood == -math.inf
 
-    def test_variance_ratio_above_range_is_clamped(self, monkeypatch):
+    def test_variance_ratio_above_range_is_clamped(self):
         noise = 1e-3 * np.random.default_rng(5).standard_normal(24)
         ds = balanced_design(4, 3, lambda line, tx: 50.0 * line + 0.7 * tx + noise)
         assert closed_form_theta(ds) == 1e6
-        fast, slow = fit_lmm(ds), search_fit(monkeypatch, ds)
+        fast, slow = fit_lmm(ds), search_fit(ds)
         assert fast.converged and slow.converged
         assert fast.tau2_hat == pytest.approx(1e6 * fast.sigma2_hat, rel=1e-12)
         assert fast.tau2_hat == pytest.approx(slow.tau2_hat, rel=1e-6)
         assert abs(fast.p_value - slow.p_value) <= 1e-6
 
-    def test_boundary_draw_is_identical_to_search(self, monkeypatch):
-        # both paths evaluate the profile at exactly theta = 0
+    def test_boundary_draw_is_identical_to_search(self):
+        # both paths evaluate the fit at exactly theta = 0, the closed form in
+        # its ANOVA sums and the search in the per-line profile
         params = AnovaParams(beta0=2.0, beta=0.5, tau2=0.0, sigma2=0.4)
         ds = gen_anova(4, 3, params, replicate_stream(1, 4, 3, 0))
         assert closed_form_theta(ds) == 0.0
-        assert fit_lmm(ds) == search_fit(monkeypatch, ds)
+        fast, slow = fit_lmm(ds), search_fit(ds)
+        assert fast.converged
+        assert (fast.converged, fast.df, fast.tau2_hat == 0) == (slow.converged, slow.df,
+                                                                 slow.tau2_hat == 0)
+        for name in ("beta0_hat", "beta_hat", "se_beta", "sigma2_hat", "p_value",
+                     "log_restricted_likelihood"):
+            assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=1e-12, abs=0)
 
     def test_large_variance_ratio_keeps_its_digits(self):
-        # at theta ~ 5.5e4 the weight 1 - cJ = 1/(1 + theta*J) is ~1e-5; formed
-        # as a difference it cost sigma2 a relative 1.3e-10 on this draw. The
-        # parameters are the pilot's REML estimates, pinned so that the draw
-        # does not move with their last digit.
+        # at theta ~ 5.5e4 the weight 1/(1 + theta*J) is ~1e-5; formed as
+        # 1 - cJ, c = theta/(1 + theta*J), it costs sigma2 a relative 1.3e-10
+        # on this draw. The parameters are the pilot's REML estimates, pinned
+        # so that the draw does not move with their last digit.
         params = AnovaParams(beta0=0.0653407599544963, beta=0.7299459629833942,
                              tau2=0.03319570410322243, sigma2=0.38597141190287104)
         ds = gen_anova(2, 1, params, replicate_stream(20261018, 2, 1, 139))
         st = sufficient(ds)
-        theta, (_neg2, _beta0, _beta, sigma2, _var_beta) = lmm._balanced_fit(st)
+        theta, sigma2, _beta, _var_beta, _converged = balanced_rows(st)
         assert 5e4 < theta < 6e4
         assert fit_lmm(ds).sigma2_hat == sigma2
-        # the same balanced profile in exact arithmetic on the same float sums
+        # the balanced fit in exact arithmetic on the same float sums
         N, J = ds.y.size, 2
         Sy, Syy, Sxy, Q = map(Fraction, (st.Sy, st.Syy, st.Sxy, float(st.sy @ st.sy)))
-        c = Fraction(theta) / (1 + Fraction(theta) * J)
-        a00, a11 = N * (1 - c * J), Fraction(N, 2) - c * J * N / 4
-        a01 = a00 / 2
-        b0, b1 = Sy * (1 - c * J), Sxy - c * J * Sy / 2
-        det = a00 * a11 - a01 * a01
-        beta0, beta = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
-        exact = (Syy - c * Q - (b0 * beta0 + b1 * beta)) / (N - 2)
-        assert abs(Fraction(sigma2) - exact) / exact <= Fraction(6e-11)
+        D = Sxy - Sy / 2
+        W = Syy - Q / J - D * D / Fraction(N, 4)
+        B = Q / J - Sy * Sy / N
+        exact = (W + B / (1 + Fraction(float(theta)) * J)) / (N - 2)
+        assert abs(Fraction(float(sigma2)) - exact) / exact <= Fraction(6e-11)
 
 
 class TestFrozenFits:
-    # sha256 of every LmmFit repr below, as the fits of commit 76855a0 give
-    # them, and of the numpy arithmetic those fits were frozen on
-    FITS = "978ed92b7cbe52842de41c4a3c3402e7c489d4e197e135d5fdee0b3c07e5869c"
+    # sha256 of every LmmFit repr below, as fit_lmm gives them with the
+    # balanced rule in its ANOVA form, and of the numpy arithmetic those fits
+    # were frozen on
+    FITS = "53cde71dd2ab92ea97a2f89c0b64e4679495341f030f768cade2e2a1641ae819"
     ARITHMETIC = "cd4aec4da2c6ae8cce311d8b8bb1d6c4fdcc83a65330720975bae4b77f194ff4"
 
     def test_fits_match_the_frozen_digest(self):
@@ -319,6 +335,13 @@ class TestStackedTests:
                 worst = max(worst, float(np.max(np.abs(p - want_p), initial=0.0,
                                                 where=converged)))
                 boundary += sum(fit_lmm(d).tau2_hat == 0 for d in datasets)
+                # fit_lmm shares the stack's kernel; the search path does not
+                searched = [search_fit(d) for d in datasets]
+                assert converged.tolist() == [f.converged for f in searched], cell
+                assert rejected.tolist() == [f.converged and wald_test_lmm(f, alpha)
+                                             for f in searched], cell
+                assert np.allclose(p, [f.p_value for f in searched], rtol=0, atol=1e-6,
+                                   equal_nan=True), cell
         assert worst <= 1e-9  # 2.3e-11 on these draws
         assert boundary >= 200  # the theta = 0 rule is exercised
 
