@@ -32,7 +32,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .datagen import _anova_y, _design_arrays, gen_anova, gen_frailty, replicate_stream
+from .datagen import _BLOCK, _anova_y, _design_arrays, gen_anova, gen_frailty, replicate_stream
 from .frailty import fit_frailty, wald_test_frailty
 from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
@@ -50,9 +50,9 @@ __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
 # replicates per chunk, by model. A frailty replicate takes about 0.9 ms on
 # a 2-core host, so a chunk of 32 keeps a worker round trip (about 0.4 ms)
 # a small share of its work. A stacked ANOVA chunk takes 7-19 us per
-# replicate; 512 is also datagen._BLOCK, the replicates whose stream keys
-# are hashed together.
-_CHUNK = {FrailtyParams: 32, AnovaParams: 512}
+# replicate and is one block of replicates whose stream keys are hashed
+# together.
+_CHUNK = {FrailtyParams: 32, AnovaParams: _BLOCK}
 _MIN_CONVERGENCE_PCT = 50.0
 _WARN_CONVERGENCE_PCT = 99.0
 _WINDOW_PER_WORKER = 2

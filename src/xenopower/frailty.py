@@ -39,12 +39,11 @@ import numpy as np
 from scipy.special import ndtr, wrightomega
 
 from ._data import Design, as_arrays
-from .types import FrailtyParams, _is_integer
+from .types import FrailtyParams
 
 __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
 
-_TAU_FLOOR = 1e-5
-_LOG_TAU_FLOOR = math.log(_TAU_FLOOR)
+_LOG_TAU_FLOOR = math.log(1e-5)
 _LOG_PI = math.log(math.pi)
 # log bounds of the normal float range, inside which every rate lam must lie
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
@@ -202,24 +201,20 @@ def _integrand_modes(d: np.ndarray, a_cum: np.ndarray, tau2: float):
     return dt - omega, omega
 
 
-def frailty_loglik(params, data, quad_points: int = _QUAD_POINTS) -> float:
+def frailty_loglik(params, data) -> float:
     """Marginal log-likelihood of (lam, nu, beta, tau2) for a censored
-    dataset, by adaptive Gauss-Hermite quadrature over the frailty.
+    dataset, by the 15-node quadrature rule that fit_frailty maximises.
 
     ``params`` is the tuple (lam, nu, beta, tau2), checked as FrailtyParams
-    checks them, and ``data`` as as_arrays does; tau2 = 0 short-circuits
-    to the no-frailty log-likelihood. ``quad_points`` is a positive integer.
+    checks them, and ``data`` as as_arrays does; tau2 = 0 (log tau = -inf)
+    gives the no-frailty log-likelihood.
     """
     lam, nu, beta, tau2 = (float(v) for v in params)
     FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
-    if not _is_integer(quad_points) or quad_points < 1:
-        raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
-    design, y, status = as_arrays(data)
-    x, logw = _hermite_nodes(int(quad_points))
-    logtau = 0.5 * math.log(tau2) if tau2 > 0 else _LOG_TAU_FLOOR - 60.0
+    logtau = 0.5 * math.log(tau2) if tau2 > 0 else -math.inf
     with np.errstate(all="ignore"):
         value = _loglik_core(np.array([math.log(lam), math.log(nu), beta, logtau]),
-                             _GroupData(design, y, status), x, logw)
+                             _GroupData(*as_arrays(data)), *_hermite_nodes(_QUAD_POINTS))
     if value == -math.inf:
         raise FloatingPointError("frailty likelihood evaluation diverged")
     return value

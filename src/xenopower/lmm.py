@@ -173,13 +173,11 @@ def fit_lmm(data) -> LmmFit:
 
     The log of each outcome is taken internally, and beta_hat/se is
     referred to a Student-t distribution with df = N - lines - 1. Data
-    that as_arrays refuses (an outcome of 0, inf or nan among them), fewer
-    than 3 observations or no residual degree of freedom
-    (N - lines - 1 < 1) raise ValueError.
+    that as_arrays refuses (an outcome of 0, inf or nan among them) and
+    data with no residual degree of freedom (N - lines - 1 < 1, which
+    as_arrays's two lines make true of every N < 3) raise ValueError.
     """
     design, y, _status = as_arrays(data)
-    if y.size < 3:
-        raise ValueError("fit requires at least 3 observations")
     df = float(y.size - design.k - 1)
     if df < 1:
         raise ValueError(f"fit requires more observations than lines + 1, got {y.size} "

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 __all__ = [
     "ValidationError",
     "DesignGrid",
@@ -86,9 +88,9 @@ class FrailtyParams:
     with a normal per-line frailty on the log-hazard scale.
 
     The conditional hazard is lam * nu * t**(nu-1) * exp(tx*beta + a) with
-    a ~ N(0, tau2) per line. When ``censor`` is set, outcomes are
-    administratively censored at time ``ct``; without it ``ct`` must be
-    left as None.
+    a ~ N(0, tau2) per line. ``censor`` is a bool (a numpy bool is stored
+    as a Python one). When it is set, outcomes are administratively
+    censored at time ``ct``; without it ``ct`` must be left as None.
     """
 
     lam: float
@@ -106,8 +108,11 @@ class FrailtyParams:
             raise ValidationError(f"nu must be positive, got {self.nu}")
         if self.tau2 < 0:
             raise ValidationError(f"tau2 must be nonnegative, got {self.tau2}")
+        if not isinstance(self.censor, _BOOLS):
+            raise ValidationError(f"censor must be a bool, got {self.censor!r}")
+        object.__setattr__(self, "censor", bool(self.censor))
         if self.censor:
-            if self.ct is None or not 0 < self.ct < math.inf:
+            if self.ct is None or isinstance(self.ct, _BOOLS) or not 0 < self.ct < math.inf:
                 raise ValidationError(
                     f"ct must be a positive finite censoring time when censor=True, got {self.ct}"
                 )
@@ -118,6 +123,8 @@ class FrailtyParams:
 def _require_finite(params, names) -> None:
     for name in names:
         value = getattr(params, name)
+        if isinstance(value, _BOOLS):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
 
@@ -199,7 +206,7 @@ class PowerRow:
             if name == "censoring" and value is None:
                 continue
             # false for nan as well
-            if not 0.0 <= value <= 100.0:
+            if isinstance(value, _BOOLS) or not 0.0 <= value <= 100.0:
                 raise ValidationError(f"{name} must lie in [0,100], got {value}")
 
 
@@ -242,9 +249,13 @@ class PowerTable:
         raise KeyError(f"no cell ({n}, {m}) in table")
 
 
+# bools are flags: a flag field accepts only these, and a number or count refuses them
+_BOOLS = (bool, np.bool_)
+
+
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; bools are flags, not counts."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    return isinstance(value, Integral) and not isinstance(value, _BOOLS)
 
 
 def validate_grid(grid: DesignGrid) -> DesignGrid:

@@ -103,12 +103,13 @@ class TestExitCodes:
         assert out == ""
 
     def test_unfittable_pilot_is_3(self, capsys, tmp_path):
-        # the pilot reads cleanly, but the model cannot be fitted to two rows
+        # the pilot reads cleanly, but two rows in two lines leave no residual
+        # degree of freedom
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("ID,Y,Tx\nA,1.0,0\nB,2.0,1\n")
         code, out, err = run_cli(capsys, "pow-anova-data", "--data", str(tiny), *FAST)
         assert code == 3
-        assert "at least 3 observations" in err
+        assert "more observations than lines + 1, got 2 observations in 2 lines" in err
         assert out == ""
 
     def test_pilot_without_a_residual_degree_of_freedom_is_3(self, capsys, tmp_path):
@@ -131,6 +132,27 @@ class TestExitCodes:
         assert "REML fit did not converge on the pilot data" in err
         assert "search" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("status, message", [
+        # equal outcomes put the no-frailty profile's root in log nu outside the box
+        (1, "frailty fit did not converge on the pilot data"),
+        (0, "pilot data contains no observed events"),
+    ], ids=["equal outcomes", "all censored"])
+    def test_censored_pilot_the_frailty_fit_cannot_use_is_3(self, capsys, tmp_path, status,
+                                                            message):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("ID,Y,Tx,status\n" + "".join(f"{line},2.0,{tx},{status}\n"
+                                                     for line in "ABC" for tx in (0, 1, 0, 1)))
+        code, out, err = run_cli(capsys, "pow-frailty-data", "--data", str(flat), *FAST)
+        assert code == 3
+        assert message in err
+        assert out == ""
+
+    def test_unwritable_output_is_3(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent" / "x.csv"
+        code, _, err = run_cli(capsys, *MEDIANS, *FAST, "--out-csv", str(missing))
+        assert code == 3
+        assert "could not write output file" in err
 
     def test_infinite_pilot_outcome_is_3(self, capsys, tmp_path):
         # rejected as the pilot is read, before any fit warns about it
@@ -172,6 +194,11 @@ class TestExitCodes:
             capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2", "--n", "3:x",
         )
         assert code == 2
+
+    def test_descending_range_is_2(self, capsys):
+        code, _, err = run_cli(capsys, *MEDIANS, "--n", "4:3")
+        assert code == 2
+        assert "--n expects A:B or a comma list of integers: range end below start" in err
 
     def test_bad_alpha_is_2(self, capsys):
         code, _, err = run_cli(
@@ -280,6 +307,13 @@ class TestOutputs:
         )
         assert code == 0
         assert "no design in the grid" in out
+
+    def test_frontier_designs_listed(self, capsys):
+        code, out, _ = run_cli(capsys, *MEDIANS, "--n", "3:5", "--m", "2:4", "--sim", "40",
+                               "--threads", "1")
+        assert code == 0
+        assert out.endswith("\nminimal designs reaching 80% power:\n"
+                            "  n=4, m=4 (N=32)\n  n=5, m=3 (N=30)\n")
 
 
 class TestThreadsEnv:

@@ -333,8 +333,11 @@ class TestDesignRecord:
         (dict(tx=USER_BUILT.tx[:-1]), "one entry per animal"),
         (dict(y=USER_BUILT.y[1:]), "one entry per animal"),
         (dict(line_index=USER_BUILT.line_index[:-1]), "one entry per animal"),
+        (dict(line_index=USER_BUILT.line_index[:0], tx=USER_BUILT.tx[:0], y=USER_BUILT.y[:0],
+              status=USER_BUILT.status[:0]), "dataset is empty"),
     ], ids=["one line", "control only", "treated only", "y=0", "y<0", "y=inf", "y=nan", "status 2",
-            "status -1", "status 0.5", "status short", "tx short", "y short", "lines short"])
+            "status -1", "status 0.5", "status short", "tx short", "y short", "lines short",
+            "empty"])
     @pytest.mark.parametrize("fit", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
     def test_data_no_model_can_fit_is_refused_by_every_entry_point(self, fit, change, message):
         with pytest.raises(ValueError, match=message):

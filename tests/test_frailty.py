@@ -22,8 +22,8 @@ from xenopower.types import FrailtyParams
 
 MEDIAN_FRAILTY = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=12.0)
-# log tau at which the quadrature-based likelihood collapses to the no-frailty one
-NO_FRAILTY_LOG_TAU = math.log(frailty._TAU_FLOOR) - 60.0
+# log tau of tau = 0, where the quadrature-based likelihood is the no-frailty one
+NO_FRAILTY_LOG_TAU = -math.inf
 GOLDEN_FITS = Path(__file__).parent / "golden" / "frailty_fits.json"
 # _loglik_derivs calls per golden fit, one row per golden configuration,
 # counted with the eigendecomposition Newton step and vectorised no-frailty
@@ -191,6 +191,13 @@ def quadrature_loglik(gd, quad_points=15):
     return lambda q: frailty._loglik_core(q, gd, x, logw)
 
 
+def fitted_coordinates(params):
+    """(lam, nu, beta, tau2) as the fit's (log lam, log nu, beta, log tau)."""
+    lam, nu, beta, tau2 = params
+    return np.array([math.log(lam), math.log(nu), beta,
+                     0.5 * math.log(tau2) if tau2 > 0 else NO_FRAILTY_LOG_TAU])
+
+
 def bfgs_no_frailty(gd):
     """Oracle: the no-frailty optimum by BFGS with finite-difference
     gradients, from the exponential-rate start."""
@@ -280,10 +287,9 @@ class TestLoglik:
         assert frailty_loglik(params, pilot_survival) == pytest.approx(oracle, abs=1e-6)
 
     def test_quadrature_stable_in_node_count(self, pilot_survival):
-        params = (0.0154, 2.1722, -0.8794, 0.0422)
-        l15 = frailty_loglik(params, pilot_survival, quad_points=15)
-        l31 = frailty_loglik(params, pilot_survival, quad_points=31)
-        assert abs(l15 - l31) <= 1e-4
+        q = fitted_coordinates((0.0154, 2.1722, -0.8794, 0.0422))
+        gd = group_data(pilot_survival)
+        assert abs(quadrature_loglik(gd, 15)(q) - quadrature_loglik(gd, 31)(q)) <= 1e-4
 
     def test_near_stationary_at_reported_pilot_optimum(self, pilot_survival):
         # central-difference partials on the fitted (log lam, log nu, beta,
@@ -318,16 +324,6 @@ class TestLoglik:
         params[index] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             frailty_loglik(tuple(params), small_two_line_dataset())
-
-    @pytest.mark.parametrize("quad_points", [2.7, 15.0, True, 0, -3, "15"])
-    def test_rejects_quad_points_other_than_a_positive_integer(self, quad_points):
-        with pytest.raises(ValueError, match="quad_points must be a positive integer"):
-            frailty_loglik((0.3, 1.0, -0.5, 0.2), small_two_line_dataset(), quad_points)
-
-    def test_accepts_numpy_integer_quad_points(self):
-        ds = small_two_line_dataset()
-        params = (0.3, 1.0, -0.5, 0.2)
-        assert frailty_loglik(params, ds, np.int64(31)) == frailty_loglik(params, ds, 31)
 
 
 class TestClosedFormModes:
@@ -408,6 +404,16 @@ class TestFit:
         assert math.isnan(fit.beta_hat)
         with pytest.raises(ValueError):
             wald_test_frailty(fit, 0.05)
+
+    def test_equal_outcomes_have_no_shape_estimate(self):
+        # with every time equal the no-frailty profile rises in log nu without
+        # a stationary point, so its root lies outside |log nu| <= log 50
+        ds = SimulatedDataset(line_index=np.repeat([1, 2, 3], 4), tx=np.tile([0, 1], 6),
+                              y=np.full(12, 2.0), status=np.ones(12, dtype=np.int64))
+        assert frailty._no_frailty_fit(group_data(ds)) is None
+        fit = fit_frailty(ds)
+        assert not fit.converged
+        assert math.isnan(fit.beta_hat)
 
     def test_divergent_likelihood_fails_without_numpy_warnings(self):
         # the likelihood diverges on this dataset; no numpy warning may escape
@@ -490,10 +496,9 @@ class TestFit:
             ds = gen_frailty(4, 3, params, replicate_stream(23, 4, 3, r))
             fit = fit_frailty(ds)
             assert fit.converged
-            est = (fit.lambda_hat, fit.nu_hat, fit.beta_hat, fit.tau2_hat)
-            l15 = frailty_loglik(est, ds, quad_points=15)
-            l31 = frailty_loglik(est, ds, quad_points=31)
-            assert abs(l15 - l31) <= 1e-4
+            q = fitted_coordinates((fit.lambda_hat, fit.nu_hat, fit.beta_hat, fit.tau2_hat))
+            gd = group_data(ds)
+            assert abs(quadrature_loglik(gd, 15)(q) - quadrature_loglik(gd, 31)(q)) <= 1e-4
 
 
 class TestFrozenFits:

@@ -252,6 +252,19 @@ class TestPowerJson:
         with pytest.raises(ValidationError, match=f"power JSON file {named} is malformed"):
             read_power_json(path)
 
+    @pytest.mark.parametrize("part, key, value", [("params", "censor", "no"),
+                                                  ("row", "power", True)])
+    def test_bool_where_a_number_or_flag_belongs_is_a_validation_error(self, tmp_path, part,
+                                                                         key, value):
+        # the file used to read as a censored table, and as a power of 1%
+        doc = power_json_dict(sample_table(), [(3, 3)])
+        {"params": doc["params"], "row": doc["rows"][0]}[part][key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        named = re.escape(str(path))
+        with pytest.raises(ValidationError, match=f"{named} is malformed: {key} must"):
+            read_power_json(path)
+
     def test_schema_shape(self):
         doc = power_json_dict(sample_table(), [(3, 3)])
         assert set(doc) == {"params", "rows", "frontier", "seed"}

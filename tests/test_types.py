@@ -116,6 +116,14 @@ class TestAnovaParams:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             AnovaParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, np.False_])
+    @pytest.mark.parametrize("field", ["beta0", "beta", "tau2", "sigma2"])
+    def test_bool_fields_rejected(self, field, value):
+        kwargs = dict(beta0=0.0, beta=0.0, tau2=0.1, sigma2=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be a number, got"):
+            AnovaParams(**kwargs)
+
 
 class TestFrailtyParams:
     def test_valid(self):
@@ -143,6 +151,31 @@ class TestFrailtyParams:
         kwargs[field] = value
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             FrailtyParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    @pytest.mark.parametrize("field", ["lam", "nu", "beta", "tau2"])
+    def test_bool_fields_rejected(self, field, value):
+        kwargs = dict(lam=0.3, nu=1.0, beta=0.0, tau2=0.2)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be a number, got"):
+            FrailtyParams(**kwargs)
+
+    @pytest.mark.parametrize("ct", [True, np.True_])
+    def test_bool_censoring_time_rejected(self, ct):
+        with pytest.raises(ValidationError, match="ct must be a positive finite"):
+            FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=True, ct=ct)
+
+    @pytest.mark.parametrize("censor", ["no", "", 1, 0, np.int64(1), 1.0, None])
+    def test_censor_other_than_a_bool_rejected(self, censor):
+        # a truthy string used to turn censoring on
+        with pytest.raises(ValidationError, match="censor must be a bool"):
+            FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=censor, ct=5.0)
+
+    def test_numpy_bool_censor_stored_as_a_bool(self):
+        on = FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=np.True_, ct=5.0)
+        off = FrailtyParams(lam=0.3, nu=1.0, beta=0.0, tau2=0.2, censor=np.False_)
+        assert (type(on.censor), on.censor) == (bool, True)
+        assert (type(off.censor), off.censor) == (bool, False)
 
     def test_infinite_censoring_time_rejected(self):
         with pytest.raises(ValidationError, match="ct must be a positive finite"):
@@ -197,6 +230,14 @@ class TestPowerTable:
     def test_power_bounds(self):
         with pytest.raises(ValidationError, match="power"):
             PowerRow(n=3, m=2, total_animals=12, power=100.5, convergence=100.0)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("field", ["power", "convergence", "censoring"])
+    def test_bool_percentages_rejected(self, field, value):
+        kwargs = dict(n=3, m=2, total_animals=12, power=50.0, convergence=100.0, censoring=10.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must lie in \\[0,100\\], got"):
+            PowerRow(**kwargs)
 
     def test_row_order_enforced(self):
         rows = (
