@@ -25,7 +25,9 @@ nodes' own movement only enters at the order of the quadrature error
 of the negative information, unrolled in scalars; only where a pivot is
 not positive does it fall back to an eigendecomposition with reflected
 eigenvalues. A fit heading to tau = 0 reports the exact no-frailty
-optimum with tau2_hat = 0.
+optimum with tau2_hat = 0; an interior one is kept only where a 31-node
+rule, applied to the optimum's own hazards, agrees with the fit's 15-node
+rule within 1e-4.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, wrightomega
@@ -89,14 +90,18 @@ _NOT_CONVERGED = FrailtyFit(lambda_hat=math.nan, nu_hat=math.nan, beta_hat=math.
                             converged=False, log_likelihood=-math.inf)
 
 
-@lru_cache(maxsize=8)
 def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes x and log(w * exp(x^2)); cached, read-only."""
+    """Gauss-Hermite nodes x and log(w * exp(x^2)), read-only."""
     x, w = np.polynomial.hermite.hermgauss(quad_points)
     logw = np.log(w) + x * x
     x.setflags(write=False)
     logw.setflags(write=False)
     return x, logw
+
+
+# the rule the fit maximises, and the finer rule that checks it at the optimum
+_NODES = _hermite_nodes(_QUAD_POINTS)
+_CHECK_NODES = _hermite_nodes(2 * _QUAD_POINTS + 1)
 
 
 class _GroupData:
@@ -143,20 +148,6 @@ def _hazard_sums(p: np.ndarray, gd: _GroupData):
     sums[:, 3] += sums[:, 1]
     k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.events[1]
     return sums, nu, k_total
-
-
-def _loglik_core(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray) -> float:
-    """Marginal log-likelihood at transformed parameters
-    p = (log lam, log nu, beta, log tau), or -inf where it is not finite."""
-    terms = _hazard_sums(p, gd)
-    if terms is None:
-        return -math.inf
-    sums, _, k_total = terms
-    if p[3] < _LOG_TAU_FLOOR:
-        # floor: the frailty collapses and the likelihood is flat in log tau
-        return float(k_total - sums[:, 0].sum())
-    lines = _line_quadrature(gd.d, sums[:, 0], p[3], x, logw)
-    return -math.inf if lines is None else k_total + lines[0]
 
 
 def _line_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: float, x: np.ndarray,
@@ -206,23 +197,30 @@ def frailty_loglik(params, data) -> float:
     dataset, by the 15-node quadrature rule that fit_frailty maximises.
 
     ``params`` is the tuple (lam, nu, beta, tau2), checked as FrailtyParams
-    checks them, and ``data`` as as_arrays does; tau2 = 0 (log tau = -inf)
-    gives the no-frailty log-likelihood.
+    checks them, and ``data`` as as_arrays does. tau2 = 0 gives the
+    no-frailty log-likelihood, as does any tau2 below 1e-10 (tau < 1e-5).
     """
-    lam, nu, beta, tau2 = (float(v) for v in params)
-    FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
-    logtau = 0.5 * math.log(tau2) if tau2 > 0 else -math.inf
+    lam, nu, beta, tau2 = params
+    params = FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
+    logtau = 0.5 * math.log(params.tau2) if params.tau2 > 0 else -math.inf
     with np.errstate(all="ignore"):
-        value = _loglik_core(np.array([math.log(lam), math.log(nu), beta, logtau]),
-                             _GroupData(*as_arrays(data)), *_hermite_nodes(_QUAD_POINTS))
-    if value == -math.inf:
-        raise FloatingPointError("frailty likelihood evaluation diverged")
-    return value
+        gd = _GroupData(*as_arrays(data))
+        terms = _hazard_sums(np.array([math.log(params.lam), math.log(params.nu), params.beta]), gd)
+        if terms is not None:
+            sums, _, k_total = terms
+            if logtau < _LOG_TAU_FLOOR:
+                # floor: the frailty collapses and the likelihood is flat in log tau
+                return float(k_total - sums[:, 0].sum())
+            lines = _line_quadrature(gd.d, sums[:, 0], logtau, *_NODES)
+            if lines is not None:
+                return float(k_total + lines[0])
+    raise FloatingPointError("frailty likelihood evaluation diverged")
 
 
-def _loglik_derivs(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray):
+def _loglik_derivs(p: np.ndarray, gd: _GroupData):
     """Marginal log-likelihood, score and Hessian at
-    p = (log lam, log nu, beta, log tau), or None where it is not finite.
+    p = (log lam, log nu, beta, log tau), and the hazard column and event
+    part they came from, (A, k_total); None where it is not finite.
 
     Each line's quadrature nodes are held fixed, so the derivatives are
     those of a fixed-node rule: with normalised node weights, the score
@@ -233,7 +231,7 @@ def _loglik_derivs(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarra
     if terms is None:
         return None
     sums, nu, k_total = terms
-    lines = _line_quadrature(gd.d, sums[:, 0], p[3], x, logw)
+    lines = _line_quadrature(gd.d, sums[:, 0], p[3], *_NODES)
     if lines is None:
         return None
     total, w, feats = lines
@@ -259,7 +257,7 @@ def _loglik_derivs(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarra
     hess[3, 3] = float(cov[:, 1, 1].sum()) - 2.0 * q1
     if not np.isfinite(out).all():
         return None
-    return k_total + total, score, hess
+    return k_total + total, score, hess, (sums[:, 0], k_total)
 
 
 def _no_frailty_fit(gd: _GroupData):
@@ -376,8 +374,7 @@ def _ascent_direction(score: np.ndarray, hess: np.ndarray):
     return direction, float(score @ direction), definite
 
 
-def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
-            value0: float, tau2_score0: float):
+def _newton(p: np.ndarray, gd: _GroupData, value0: float, tau2_score0: float):
     """Damped Newton ascent of the marginal log-likelihood from p.
 
     Each direction comes from _ascent_direction: a Cholesky solve where
@@ -385,7 +382,8 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
     positive definite point with a Newton decrement at most 1e-10 counts
     as a maximum.
 
-    Returns (boundary, p, value, hess): boundary is False at a maximum, and
+    Returns (boundary, p, value, hess, hazard), hazard as _loglik_derivs
+    gives it at p: boundary is False at a maximum, and
     True when the search heads to tau = 0 and either tau has fallen below
     1e-3, or it is below 0.15 and the no-frailty optimum (log-likelihood
     value0, tau2-score tau2_score0) is a boundary maximum at least as high,
@@ -395,18 +393,18 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
     Returns None when an evaluation is not finite, the line search stalls,
     the iterate leaves the box or the budget is spent.
     """
-    current = _loglik_derivs(p, gd, x, logw)
+    current = _loglik_derivs(p, gd)
     if current is None:
         return None
     for _ in range(_MAX_NEWTON):
-        value, score, hess = current
+        value, score, hess, hazard = current
         if score[3] <= 0 and p[3] < _LOG_TAU_PROBE and (
             p[3] < _LOG_TAU_BOUNDARY or (tau2_score0 <= 0 and value <= value0)
         ):
-            return True, p, value, hess
+            return True, p, value, hess, hazard
         direction, decrement, definite = _ascent_direction(score, hess)
         if definite and decrement <= _DECREMENT_TOL:
-            return False, p, value, hess
+            return False, p, value, hess, hazard
         # within quadrature error of the optimum the value cannot confirm
         # an ascent, so a near-converged Newton step is taken in full
         near = definite and decrement <= _NEAR_DECREMENT
@@ -426,7 +424,7 @@ def _newton(p: np.ndarray, gd: _GroupData, x: np.ndarray, logw: np.ndarray,
             t0, t1, t2 = b0 + step * v0, b1 + step * v1, b2 + step * v2
             t3 = max(b3 + step * v3, _LOG_TAU_LOW)
             trial = np.array([t0, t1, t2, t3])
-            nxt = _loglik_derivs(trial, gd, x, logw)
+            nxt = _loglik_derivs(trial, gd)
             if nxt is not None and (near or nxt[0] >= value + _ARMIJO * (
                 g0 * (t0 - b0) + g1 * (t1 - b1) + g2 * (t2 - b2) + g3 * (t3 - b3)
             )):
@@ -473,16 +471,15 @@ def fit_frailty(data) -> FrailtyFit:
         if not gd.events.all():
             # no information about the hazard ratio in one arm: never estimate
             return _NOT_CONVERGED
-        x, logw = _hermite_nodes(_QUAD_POINTS)
         start = _no_frailty_fit(gd)
         if start is None:
             return _NOT_CONVERGED
         p0, value0, hess0, tau2_score0 = start
 
-        result = _newton(np.append(p0, _LOG_TAU_START), gd, x, logw, value0, tau2_score0)
+        result = _newton(np.append(p0, _LOG_TAU_START), gd, value0, tau2_score0)
         if result is None:
             return _NOT_CONVERGED
-        boundary, point, log_likelihood, hess = result
+        boundary, point, log_likelihood, hess, (a_cum, k_total) = result
         if boundary:
             tau2_hat, point, log_likelihood = 0.0, p0, value0
             # the no-frailty information, with a unit row and column for log tau
@@ -491,8 +488,8 @@ def fit_frailty(data) -> FrailtyFit:
         else:
             tau2_hat = math.exp(2.0 * float(point[3]))
             # quadrature stability at the optimum: refuse fits the node count cannot pin down
-            x2, logw2 = _hermite_nodes(2 * _QUAD_POINTS + 1)
-            if abs(log_likelihood - _loglik_core(point, gd, x2, logw2)) > _QUAD_TOL:
+            check = _line_quadrature(gd.d, a_cum, point[3], *_CHECK_NODES)
+            if check is None or abs(log_likelihood - (k_total + check[0])) > _QUAD_TOL:
                 return _NOT_CONVERGED
         # var(beta_hat), the beta element of the inverse information, is
         # the Newton decrement of the unit beta vector

@@ -123,7 +123,7 @@ class FrailtyParams:
 def _require_finite(params, names) -> None:
     for name in names:
         value = getattr(params, name)
-        if isinstance(value, _BOOLS):
+        if isinstance(value, _BOOLS) or not isinstance(value, Real):
             raise ValidationError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")

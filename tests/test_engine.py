@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import Executor, Future
 from dataclasses import replace
 
@@ -73,6 +77,30 @@ class TestDeterminism:
 
     def test_identical_censored_frailty_output_across_worker_counts(self):
         assert_same_across_worker_counts(small_frailty_job)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_identical_output_under_start_method(self, method):
+        # macOS starts workers by spawn, and Python 3.14 makes forkserver the
+        # Linux default; a fresh interpreter leaves this session's method as it is
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        code = f"""
+import multiprocessing
+from xenopower.engine import PowerJob, run_power_grid
+from xenopower.io import power_csv_text
+from xenopower.types import AnovaParams, DesignGrid, FrailtyParams
+
+multiprocessing.set_start_method({method!r})
+for model, m_values, sim in [({ANOVA_PILOT!r}, (2, 3), 600), ({CENSORED_FRAILTY!r}, (2,), 64)]:
+    grid = DesignGrid(n_values=(3, 4), m_values=m_values, sim=sim, alpha=0.05, seed=2024)
+    texts = {{power_csv_text(run_power_grid(PowerJob(grid=grid, model=model, worker_count=w)))
+             for w in (1, 2)}}
+    assert len(texts) == 1, model
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
 
     def test_counting_identity(self):
         table = run_power_grid(small_anova_job())
@@ -283,6 +311,30 @@ class TestConvergenceHandling:
         # not all ten chunks of the grid
         assert len(submitted) == 2 + 2 * 2
         assert submitted[:2] == [(2, 2), (2, 2)]
+
+    def test_fit_that_raises_is_neither_converged_nor_rejected(self, monkeypatch):
+        # every fifth replicate's fit raises ValueError, as fitters do on data they refuse
+        n, m, sim, seed = 3, 2, 24, 9
+        datasets = [gen_frailty(n, m, CENSORED_FRAILTY, replicate_stream(seed, n, m, r))
+                    for r in range(sim)]
+        refused = {ds.y.tobytes() for ds in datasets[::5]}
+
+        def fit(data):
+            if data.y.tobytes() in refused:
+                raise ValueError("refused")
+            return fit_frailty(data)
+
+        monkeypatch.setattr(engine, "fit_frailty", fit)
+        grid = DesignGrid(n_values=(n,), m_values=(m,), sim=sim, alpha=0.05, seed=seed)
+        job = PowerJob(grid=grid, model=CENSORED_FRAILTY, worker_count=1)
+        with pytest.warns(RuntimeWarning, match="below 99%"):
+            row = run_power_grid(job).rows[0]
+        fits = [fit_frailty(ds) for ds in datasets if ds.y.tobytes() not in refused]
+        converged = [f for f in fits if f.converged]
+        rejected = sum(wald_test_frailty(f, 0.05) for f in converged)
+        assert len(refused) == 5 and len(converged) > 10
+        assert row.convergence == 100.0 * len(converged) / sim
+        assert row.power == 100.0 * rejected / len(converged)
 
     def test_partial_convergence_warns(self):
         grid = DesignGrid(n_values=(2,), m_values=(2,), sim=60, alpha=0.05, seed=5)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_frailty, replicate_stream
 from xenopower.datasets import pilot_censored
 from xenopower.frailty import fit_frailty, frailty_loglik, wald_test_frailty
-from xenopower.types import FrailtyParams
+from xenopower.types import FrailtyParams, ValidationError
 
 MEDIAN_FRAILTY = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=12.0)
@@ -186,9 +187,21 @@ def vectorised_no_frailty_fit(gd):
 
 
 def quadrature_loglik(gd, quad_points=15):
-    """The fitted log-likelihood in (log lam, log nu, beta, log tau)."""
+    """The fitted log-likelihood in (log lam, log nu, beta, log tau) by the
+    quad_points-node rule, or -inf where it is not finite."""
     x, logw = frailty._hermite_nodes(quad_points)
-    return lambda q: frailty._loglik_core(q, gd, x, logw)
+
+    def loglik(q):
+        terms = frailty._hazard_sums(q, gd)
+        if terms is None:
+            return -math.inf
+        sums, _, k_total = terms
+        if q[3] < frailty._LOG_TAU_FLOOR:
+            return float(k_total - sums[:, 0].sum())
+        lines = frailty._line_quadrature(gd.d, sums[:, 0], q[3], x, logw)
+        return -math.inf if lines is None else k_total + lines[0]
+
+    return loglik
 
 
 def fitted_coordinates(params):
@@ -324,6 +337,17 @@ class TestLoglik:
         params[index] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             frailty_loglik(tuple(params), small_two_line_dataset())
+
+    @pytest.mark.parametrize("lam", [True, "1"])
+    def test_rejects_a_lam_that_is_not_a_number(self, lam, pilot_survival):
+        # each was converted by float() before the check, and evaluated at lam = 1
+        with pytest.raises(ValidationError, match="^lam must be a number, got"):
+            frailty_loglik((lam, 1.0, 0.0, 0.1), pilot_survival)
+
+    @pytest.mark.parametrize("tau2", [0.0, 0.1])
+    def test_returns_a_float(self, tau2, pilot_survival):
+        # the frailty branch returned a numpy float
+        assert type(frailty_loglik((0.3, 1.0, 0.0, tau2), pilot_survival)) is float
 
 
 class TestClosedFormModes:
@@ -489,6 +513,28 @@ class TestFit:
             lam0 = float(ds.status.sum() / ds.y.sum())
             assert fit.log_likelihood >= frailty_loglik((lam0, 1.0, 0.0, 0.09), ds)
 
+    def test_stability_check_reuses_the_optimum_hazard_sums(self, monkeypatch):
+        # past the no-frailty stage's one, every hazard sum is a derivative
+        # evaluation's: the 31-node check at an interior optimum computes none
+        calls = {"_hazard_sums": 0, "_loglik_derivs": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(frailty, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(frailty, name, spy)
+        params = dataclasses.replace(MEDIAN_FRAILTY, tau2=0.3)
+        interior = boundary = 0
+        for r in range(40):
+            for name in calls:
+                calls[name] = 0
+            fit = fit_frailty(gen_frailty(6, 5, params, replicate_stream(3, 6, 5, r)))
+            if fit.converged:
+                assert calls["_hazard_sums"] == calls["_loglik_derivs"] + 1, r
+                interior += fit.tau2_hat > 0
+                boundary += fit.tau2_hat == 0
+        assert interior >= 10 and boundary >= 1
+
     def test_quadrature_agreement_on_fitted_datasets(self):
         params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=12.0)
@@ -626,14 +672,13 @@ class TestAnalyticDerivatives:
         # random points around the no-frailty optimum; the fixed-node score
         # and information against differences of the fitted likelihood
         rng = np.random.default_rng(7)
-        x, logw = frailty._hermite_nodes(15)
         for ds in oracle_datasets(source):
             gd = group_data(ds)
             f = quadrature_loglik(gd)
             centre = bfgs_no_frailty(gd)[0]
             for _ in range(3):
                 p = np.append(centre + rng.normal(0.0, 0.2, 3), math.log(tau) + rng.normal(0.0, 0.2))
-                value, score, hess = frailty._loglik_derivs(p, gd, x, logw)
+                value, score, hess, _ = frailty._loglik_derivs(p, gd)
                 assert value == pytest.approx(f(p), abs=1e-10)
                 assert np.all(np.abs(score - central_gradient(f, p))
                               <= 1e-6 * np.maximum(1.0, np.abs(score)))
@@ -798,12 +843,19 @@ class TestNearBoundary:
         # the replicate whose likelihood diverges (see TestFit); every
         # likelihood or derivative evaluation is counted
         calls = []
-        for name in ("_loglik_core", "_loglik_derivs"):
-            def spy(*args, _real=getattr(frailty, name)):
-                calls.append(1)
-                return _real(*args)
 
-            monkeypatch.setattr(frailty, name, spy)
+        def derivs(*args, _real=frailty._loglik_derivs):
+            calls.append(1)
+            return _real(*args)
+
+        def check(d, a_cum, logtau, x, logw, _real=frailty._line_quadrature):
+            # the 31-node check, the one evaluation made outside _loglik_derivs
+            if x is frailty._CHECK_NODES[0]:
+                calls.append(1)
+            return _real(d, a_cum, logtau, x, logw)
+
+        monkeypatch.setattr(frailty, "_loglik_derivs", derivs)
+        monkeypatch.setattr(frailty, "_line_quadrature", check)
         params = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1,
                                censor=True, ct=4.0)
         ds = gen_frailty(2, 1, params, replicate_stream(7, 2, 1, 1))

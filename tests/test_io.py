@@ -95,6 +95,12 @@ class TestReadPilotCsv:
         with pytest.raises(ValidationError, match=f"duplicate column {duplicate}"):
             read_pilot_csv(path)
 
+    def test_blank_and_whitespace_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("ID,Y,Tx\na,1.0,0\n\n   \n , ,\t\nb,2.0,1\n\n")
+        assert [(r.id, r.y, r.tx) for r in read_pilot_csv(path).rows] == [("a", 1.0, 0),
+                                                                          ("b", 2.0, 1)]
+
     def test_repeated_unused_column_is_kept(self, tmp_path):
         path = tmp_path / "notes.csv"
         path.write_text("ID,Y,Tx,note,note\na,1.0,0,x,y\nb,2.0,1,,\n")

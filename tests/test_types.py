@@ -124,6 +124,14 @@ class TestAnovaParams:
         with pytest.raises(ValidationError, match=f"{field} must be a number, got"):
             AnovaParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["beta0", "beta", "tau2", "sigma2"])
+    def test_string_fields_rejected(self, field):
+        # math.isfinite raised TypeError on a string
+        kwargs = dict(beta0=0.0, beta=0.0, tau2=0.1, sigma2=1.0)
+        kwargs[field] = "1"
+        with pytest.raises(ValidationError, match=f"{field} must be a number, got '1'"):
+            AnovaParams(**kwargs)
+
 
 class TestFrailtyParams:
     def test_valid(self):
@@ -158,6 +166,14 @@ class TestFrailtyParams:
         kwargs = dict(lam=0.3, nu=1.0, beta=0.0, tau2=0.2)
         kwargs[field] = value
         with pytest.raises(ValidationError, match=f"{field} must be a number, got"):
+            FrailtyParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["lam", "nu", "beta", "tau2"])
+    def test_string_fields_rejected(self, field):
+        # math.isfinite raised TypeError on a string
+        kwargs = dict(lam=0.3, nu=1.0, beta=0.0, tau2=0.2)
+        kwargs[field] = "1"
+        with pytest.raises(ValidationError, match=f"{field} must be a number, got '1'"):
             FrailtyParams(**kwargs)
 
     @pytest.mark.parametrize("ct", [True, np.True_])
@@ -213,6 +229,15 @@ class TestPilotDataset:
     def test_single_arm_rejected(self):
         rows = [PilotRecord("a", 1.0, 0), PilotRecord("b", 2.0, 0)]
         with pytest.raises(ValidationError, match="both treatment arms"):
+            PilotDataset(rows=tuple(rows))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValidationError, match="no data rows"):
+            PilotDataset(rows=())
+
+    def test_bad_status_named_with_row(self):
+        rows = [PilotRecord("a", 1.0, 0, 1), PilotRecord("b", 2.0, 1, 2)]
+        with pytest.raises(ValidationError, match=r"status must be 0 or 1 at row 2 \(got 2\)"):
             PilotDataset(rows=tuple(rows))
 
     def test_line_ids_first_appearance_order(self):
