@@ -12,8 +12,9 @@ one cell: 32 for the frailty model, 512 for the ANOVA model. A chunk never
 spans two cells. A frailty chunk fits its replicates one at a time; an
 ANOVA chunk is one stack, each replicate's draws from its own stream in
 one row, every row's test decided at once as fit_lmm and wald_test_lmm
-decide it. Workers get at most two chunks each ahead of the one being
-read, so a run that ends early leaves little work behind.
+decide it: |beta_hat|/se against the cell's one Student-t critical value,
+with no p-value formed. Workers get at most two chunks each ahead of the
+one being read, so a run that ends early leaves little work behind.
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -33,7 +34,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .datagen import _BLOCK, _anova_y, _design_arrays, gen_anova, gen_frailty, replicate_stream
-from .frailty import fit_frailty, wald_test_frailty
+from .frailty import _special, fit_frailty, wald_test_frailty
 from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
     AnovaParams,
@@ -85,6 +86,11 @@ class PowerJob:
                 raise ValidationError(
                     f"worker_count must be a positive integer or 'auto', got {self.worker_count!r}"
                 )
+        if isinstance(self.model, FrailtyParams):
+            # load the fit's scipy ufuncs here, in the process that builds
+            # the job, so fork-started workers share them instead of each
+            # importing them
+            _special()
 
 
 # the ANOVA layers as imported; _run_chunk stacks a chunk only while every
@@ -131,12 +137,13 @@ def _anova_stack(model: AnovaParams, n: int, m: int, alpha: float, seed: int,
                  r_start: int, r_stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_run_chunk's result for an ANOVA chunk, as one stack: each
     replicate's draws from its own stream fill a row, and every row's test
-    is decided at once, as gen_anova, fit_lmm and wald_test_lmm decide it."""
+    is decided at once by the cell's critical value, as gen_anova, fit_lmm
+    and wald_test_lmm decide it."""
     design = _design_arrays(n, m)[3]
     z = np.empty((r_stop - r_start, n + 2 * n * m))
     for row, r in zip(z, range(r_start, r_stop)):
         replicate_stream(seed, n, m, r).standard_normal(out=row)
-    rejected, converged, _p = _balanced_tests(_anova_y(z, design, model), design, alpha)
+    rejected, converged, _t = _balanced_tests(_anova_y(z, design, model), design, alpha)
     return rejected, converged, np.zeros(z.shape[0])
 
 

@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import ndtr, wrightomega
 
 from ._data import Design, as_arrays
 from .types import FrailtyParams
@@ -97,6 +97,18 @@ def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     logw.setflags(write=False)
     return x, logw
+
+
+@cache
+def _special():
+    """scipy.special, for its ndtr and wrightomega ufuncs, imported at the
+    first frailty evaluation rather than with the package: it is about half
+    of the package's import time, and the ANOVA path never needs it. A
+    frailty PowerJob loads it when it is built, so fork-started workers
+    inherit it."""
+    import scipy.special
+
+    return scipy.special
 
 
 # the rule the fit maximises, and the finer rule that checks it at the optimum
@@ -188,7 +200,7 @@ def _integrand_modes(d: np.ndarray, a_cum: np.ndarray, tau2: float):
     a nan A gives a nan mode.
     """
     dt = d * tau2
-    omega = wrightomega(np.log(a_cum) + math.log(tau2) + dt)
+    omega = _special().wrightomega(np.log(a_cum) + math.log(tau2) + dt)
     return dt - omega, omega
 
 
@@ -502,7 +514,7 @@ def fit_frailty(data) -> FrailtyFit:
     se = math.sqrt(var_beta)
     return FrailtyFit(lambda_hat=math.exp(float(point[0])), nu_hat=math.exp(float(point[1])),
                       beta_hat=beta, se_beta=se, tau2_hat=tau2_hat,
-                      p_value=2.0 * float(ndtr(-abs(beta / se))), converged=True,
+                      p_value=2.0 * float(_special().ndtr(-abs(beta / se))), converged=True,
                       log_likelihood=float(log_likelihood))
 
 

@@ -61,9 +61,11 @@ def read_pilot_csv(path) -> PilotDataset:
         status_col = cols.get("status")
 
         records: List[PilotRecord] = []
-        for rownum, row in enumerate(reader, start=1):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            # rows are numbered among the kept data rows, as PilotDataset's checks number them
+            rownum = len(records) + 1
             try:
                 rid = row[cols["id"]].strip()
                 y = float(row[cols["y"]])

@@ -101,6 +101,14 @@ class TestReadPilotCsv:
         assert [(r.id, r.y, r.tx) for r in read_pilot_csv(path).rows] == [("a", 1.0, 0),
                                                                           ("b", 2.0, 1)]
 
+    @pytest.mark.parametrize("line", ["b,oops,1", "b,-2.0,1"])
+    def test_errors_after_a_blank_line_count_only_data_rows(self, tmp_path, line):
+        # a parse error and a bad Y on the third data line both name row 3
+        path = tmp_path / "gap.csv"
+        path.write_text(f"ID,Y,Tx\na,1.0,0\na,1.5,1\n\n{line}\nb,2.0,0\n")
+        with pytest.raises(ValidationError, match=r"row 3\b"):
+            read_pilot_csv(path)
+
     def test_repeated_unused_column_is_kept(self, tmp_path):
         path = tmp_path / "notes.csv"
         path.write_text("ID,Y,Tx,note,note\na,1.0,0,x,y\nb,2.0,1,,\n")

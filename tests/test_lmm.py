@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.special import stdtr, stdtrit
 
 from conftest import arithmetic_fingerprint, arm_means_log
 from xenopower import datagen, lmm
@@ -262,9 +263,9 @@ class TestBalancedClosedForm:
 
 class TestFrozenFits:
     # sha256 of every LmmFit repr below, as fit_lmm gives them with the
-    # balanced rule in its ANOVA form, and of the numpy arithmetic those fits
-    # were frozen on
-    FITS = "53cde71dd2ab92ea97a2f89c0b64e4679495341f030f768cade2e2a1641ae819"
+    # balanced rule in its ANOVA form and p_value from the standard-library
+    # t tail, and of the numpy arithmetic those fits were frozen on
+    FITS = "4afab43d4ee38b2aa5df5586404f6ab18d02d409114c0137cf842150bd7be927"
     ARITHMETIC = "cd4aec4da2c6ae8cce311d8b8bb1d6c4fdcc83a65330720975bae4b77f194ff4"
 
     def test_fits_match_the_frozen_digest(self):
@@ -301,13 +302,17 @@ def loop_tests(datasets, alpha):
 
 def stacked_tests(n, m, rows, alpha):
     """lmm._balanced_tests on rows of outcomes of cell (n, m), with no
-    numpy warning let through, and the datasets those rows make."""
+    numpy warning let through, as (rejected, converged, p_value), and the
+    datasets those rows make. The stack forms no p-value, so p_value is
+    the two-sided tail of each row's t, nan where the row does not converge."""
     line, tx, status, design = datagen._design_arrays(n, m)
     y = np.array(rows, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = lmm._balanced_tests(y, design, alpha)
-    return stacked, [SimulatedDataset(line_index=line, tx=tx, y=row, status=status) for row in y]
+        rejected, converged, t = lmm._balanced_tests(y, design, alpha)
+    p = np.array([lmm._t_tail(y.shape[1] - design.k - 1, float(row_t)) for row_t in t])
+    return ((rejected, converged, p),
+            [SimulatedDataset(line_index=line, tx=tx, y=row, status=status) for row in y])
 
 
 class TestStackedTests:
@@ -374,6 +379,73 @@ class TestStackedTests:
             assert np.allclose(p, want_p, rtol=1e-9, atol=1e-12, equal_nan=True)
         # every rule is taken: an exact fit and a refused outcome fail, the rest converge
         assert converged.tolist() == [True] * 5 + [False] * 5 + [True]
+
+
+class TestStudentT:
+    """lmm's standard-library t tail and critical value against scipy.special,
+    which the package no longer imports for them. The pinned tolerances
+    are about 1.5 times the largest deviations measured on these grids."""
+
+    ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.2)
+
+    def test_critical_value_matches_stdtrit(self):
+        worst = 0.0
+        for df in range(1, 501):
+            for alpha in self.ALPHAS:
+                c = lmm._t_crit(df, alpha)
+                want = float(stdtrit(df, 1.0 - alpha / 2.0))
+                worst = max(worst, abs(c - want) / want)
+                # the tail crosses alpha at c, so |t| > c decides as p < alpha
+                assert lmm._t_tail(df, c * (1 + 1e-11)) < alpha < lmm._t_tail(df, c * (1 - 1e-11))
+        assert worst <= 2e-12  # 1.37e-12, at df 481
+
+    def test_tail_matches_stdtr(self):
+        ts = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 81)])
+        worst_rel = worst_abs = 0.0
+        underflows = 0
+        for df in range(1, 501):
+            for t in ts:
+                p, want = lmm._t_tail(df, float(t)), 2.0 * float(stdtr(df, -t))
+                if want < 1e-300:  # far tails: both have underflowed
+                    underflows += 1
+                    assert p < 1e-290, (df, t)
+                elif want <= 0.5:
+                    worst_rel = max(worst_rel, abs(p - want) / want)
+                elif df > 1:  # at df 1, stdtr itself loses 3e-9 near t = 0
+                    worst_abs = max(worst_abs, abs(p - want))
+        assert underflows > 1000
+        assert worst_rel <= 3e-12  # 1.93e-12, at df 481
+        assert worst_abs <= 2e-13  # 1.44e-13
+
+    def test_tail_matches_closed_forms_at_df_1_and_2(self):
+        worst = 0.0
+        for t in np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 81)]).tolist():
+            s = math.sqrt(2.0 + t * t)
+            for df, want in ((1, 2.0 / math.pi * math.atan2(1.0, t)), (2, 2.0 / (s * (s + t)))):
+                got = lmm._t_tail(df, t)
+                assert lmm._t_tail(df, -t) == got
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-14  # 1.8e-15
+        assert math.isnan(lmm._t_tail(5, math.nan))
+        assert lmm._t_tail(5, math.inf) == 0.0
+
+    def test_stacked_decisions_equal_the_p_value_rule(self):
+        # 5 cells x 5 seeds x 8192 rows = 204,800 replicates at the pilot's
+        # parameters, each decided at two levels
+        params = AnovaParams(beta0=0.0653, beta=0.7299, tau2=0.0332, sigma2=0.386)
+        replicates = 0
+        for n, m in [(2, 1), (3, 2), (4, 3), (6, 5), (10, 8)]:
+            design = datagen._design_arrays(n, m)[3]
+            df = 2 * n * m - n - 1
+            for seed in range(5):
+                z = np.random.default_rng([seed, n, m]).standard_normal((8192, n + 2 * n * m))
+                y = datagen._anova_y(z, design, params)
+                for alpha in (0.01, 0.05):
+                    rejected, converged, t = lmm._balanced_tests(y, design, alpha)
+                    want = converged & (2.0 * stdtr(df, -t) < alpha)
+                    assert np.array_equal(rejected, want), (n, m, seed, alpha)
+                replicates += z.shape[0]
+        assert replicates >= 200_000
 
 
 class TestRouting:
