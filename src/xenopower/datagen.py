@@ -14,6 +14,7 @@ gives, which stays the test oracle.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -47,9 +48,10 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
     be regenerated in isolation and the stream never depends on execution
     order. The draws are those of ``Philox(SeedSequence([seed, n, m, r]))``;
     the keys are hashed for 512 replicates at a time, and the generator's
-    ``seed_seq`` holds its key and spawns as that SeedSequence does.
+    ``seed_seq`` holds its key and spawns as that SeedSequence does; like
+    it, a coordinate that is not an integer raises TypeError.
     """
-    entropy = [int(seed), int(n), int(m), int(r)]
+    entropy = [operator.index(seed), operator.index(n), operator.index(m), operator.index(r)]
     if min(entropy) < 0:
         raise ValueError("expected non-negative integer")
     block, i = divmod(entropy[3], _BLOCK)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .frailty import _LOG_FLOAT_MAX, _LOG_FLOAT_MIN, fit_frailty
 from .lmm import fit_lmm
-from .types import AnovaParams, FrailtyParams, PilotDataset, ValidationError
+from .types import AnovaParams, FrailtyParams, PilotDataset, ValidationError, _require_number
 
 __all__ = [
     "elicit_anova_from_pilot",
@@ -25,6 +25,8 @@ __all__ = [
 
 
 def _check_medians(ctl_med: float, tx_med: float) -> None:
+    _require_number("ctl_med", ctl_med)
+    _require_number("tx_med", tx_med)
     if not (0 < ctl_med < math.inf and 0 < tx_med < math.inf):
         raise ValidationError(
             f"median survival times must be positive and finite, got {ctl_med} and {tx_med}"

@@ -87,9 +87,7 @@ class PowerJob:
                     f"worker_count must be a positive integer or 'auto', got {self.worker_count!r}"
                 )
         if isinstance(self.model, FrailtyParams):
-            # load the fit's scipy ufuncs here, in the process that builds
-            # the job, so fork-started workers share them instead of each
-            # importing them
+            # load the fit's scipy.special here, so fork-started workers share it
             _special()
 
 

@@ -40,6 +40,7 @@ from functools import cache
 import numpy as np
 
 from ._data import Design, as_arrays
+from ._tdist import _t_crit, _t_tail
 from .types import FrailtyParams
 
 __all__ = ["FrailtyFit", "frailty_loglik", "fit_frailty", "wald_test_frailty"]
@@ -101,11 +102,9 @@ def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 @cache
 def _special():
-    """scipy.special, for its ndtr and wrightomega ufuncs, imported at the
-    first frailty evaluation rather than with the package: it is about half
-    of the package's import time, and the ANOVA path never needs it. A
-    frailty PowerJob loads it when it is built, so fork-started workers
-    inherit it."""
+    """scipy.special, for wrightomega, imported at the first frailty
+    evaluation rather than with the package (about half of its import
+    time); a frailty PowerJob loads it when built, for forked workers."""
     import scipy.special
 
     return scipy.special
@@ -514,18 +513,14 @@ def fit_frailty(data) -> FrailtyFit:
     se = math.sqrt(var_beta)
     return FrailtyFit(lambda_hat=math.exp(float(point[0])), nu_hat=math.exp(float(point[1])),
                       beta_hat=beta, se_beta=se, tau2_hat=tau2_hat,
-                      p_value=2.0 * float(_special().ndtr(-abs(beta / se))), converged=True,
+                      p_value=_t_tail(math.inf, beta / se), converged=True,
                       log_likelihood=float(log_likelihood))
 
 
 def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:
-    """True when the fit rejects H0: beta = 0 at level alpha (normal
-    reference).
-
-    At designs with few events the test's size exceeds alpha, because
-    nu_hat is biased upward and the observed-information standard error
-    is too small; see README, "Known limitations".
-    """
+    """True when the fit rejects H0: beta = 0 at level alpha, that is when
+    |beta_hat|/se exceeds the normal critical value, wald_test_lmm's rule at
+    df = inf. At designs with few events it over-rejects; see fit_frailty."""
     if not fit.converged:
         raise ValueError("cannot test a non-converged fit")
-    return fit.p_value < alpha
+    return abs(fit.beta_hat / fit.se_beta) > _t_crit(math.inf, alpha)

@@ -22,25 +22,20 @@ balanced rule is tested against. Both paths read the design record and
 one container of sums of log y. Either way tau2_hat = 0 is a legal
 estimate.
 
-The Wald test rejects when |beta_hat|/se exceeds the two-sided Student-t
-critical value on df = N - lines - 1, one value per (df, alpha), cached;
-the per-dataset test and the engine's stack both decide by it, and the
-stack forms no p-value. LmmFit.p_value, the same test's two-sided tail,
-is kept for reporting. Both come from the standard library (an
-incomplete-beta continued fraction and math.lgamma), so the ANOVA path
-never imports scipy.special.
+The Wald test rejects when |beta_hat|/se exceeds _tdist's Student-t
+critical value on df = N - lines - 1, in the per-dataset test and the
+engine's stack alike; LmmFit.p_value, its two-sided tail, is for reporting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 
 from ._data import Design, as_arrays
+from ._tdist import _t_crit, _t_tail
 
 __all__ = ["LmmFit", "fit_lmm", "wald_test_lmm"]
 
@@ -50,13 +45,6 @@ _LOG_THETA_LO = math.log(_THETA_LO)
 _LOG_THETA_HI = math.log(_THETA_HI)
 _XATOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
-# the continued fraction's stop, and its floor against a zero denominator
-_CF_TOL = 1e-15
-_CF_TINY = 1e-300
-_CF_MAX_TERMS = 10_000
-# a Newton step below this share of the critical value is within the
-# tail's own accuracy
-_CRIT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -78,95 +66,6 @@ class LmmFit:
 _NOT_CONVERGED = LmmFit(beta0_hat=math.nan, beta_hat=math.nan, se_beta=math.nan,
                         tau2_hat=math.nan, sigma2_hat=math.nan, df=math.nan,
                         p_value=math.nan, converged=False, log_restricted_likelihood=-math.inf)
-
-
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """The continued fraction of the regularized incomplete beta I_x(a, b),
-    by the modified Lentz method (Numerical Recipes, 3rd ed., 6.4), which
-    converges fast for x < (a + 1)/(a + b + 2)."""
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
-    h = d
-    for m in range(1, _CF_MAX_TERMS):
-        m2 = 2 * m
-        for coef in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
-                     -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
-            d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
-            c = 1.0 + coef / c
-            c = c if abs(c) > _CF_TINY else _CF_TINY
-            h *= d * c
-        if abs(d * c - 1.0) <= _CF_TOL:
-            break
-    return h
-
-
-def _t_tail(df: float, t: float) -> float:
-    """Two-sided tail P(|T| > |t|) of Student's t with df degrees of freedom.
-
-    It is I_x(df/2, 1/2) at x = df/(df + t^2), from the continued fraction
-    of whichever of I_x(a, b) and 1 - I_(1-x)(b, a) converges fast, with
-    x and 1 - x formed from u = t^2/df so neither cancels. nan gives nan.
-    """
-    u = t * t / df
-    if not 0.0 < u < math.inf:
-        return 1.0 if u == 0.0 else 0.0 if u == math.inf else math.nan
-    a, b = 0.5 * df, 0.5
-    log1pu = math.log1p(u)
-    # log of x^a (1 - x)^b / B(a, b)
-    front = math.exp(-a * log1pu + b * (math.log(u) - log1pu)
-                     + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-    x = 1.0 / (1.0 + u)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_fraction(a, b, x) / a
-    return 1.0 - front * _beta_fraction(b, a, u / (1.0 + u)) / b
-
-
-def _t_density(df: float, t: float) -> float:
-    """Student's t density with df degrees of freedom at t."""
-    return math.exp(math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-                    - 0.5 * math.log(df * math.pi) - 0.5 * (df + 1.0) * math.log1p(t * t / df))
-
-
-@lru_cache(maxsize=1024)
-def _t_crit(df: float, alpha: float) -> float:
-    """The two-sided critical value c with P(|T| > c) = alpha for Student's
-    t with df degrees of freedom: |t| > c exactly where _t_tail(df, t) < alpha.
-
-    Hill's approximation (CACM Algorithm 396, 1970; also the start of R's
-    qt), exact for df 1 and 2, starts Newton steps with the t density, in
-    the two-term form Hill (1981) gives; they stop once a step is within
-    the tail's own accuracy, about 1e-13 of c.
-    """
-    if df == 1:
-        c = 1.0 / math.tan(0.5 * math.pi * alpha)
-    elif df == 2:
-        c = math.sqrt(2.0 / (alpha * (2.0 - alpha)) - 2.0)
-    else:
-        a = 1.0 / (df - 0.5)
-        b = 48.0 / (a * a)
-        cc = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-        d = ((94.5 / (b + cc) - 3.0) / b + 1.0) * math.sqrt(0.5 * a * math.pi) * df
-        y = (d * alpha) ** (2.0 / df)
-        if y > 0.05 + a:
-            # an asymptotic expansion about the normal quantile
-            z = NormalDist().inv_cdf(0.5 * alpha)
-            y = z * z
-            if df < 5:
-                cc += 0.3 * (df - 4.5) * (z + 0.6)
-            cc = (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + b + cc
-            y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / cc - y - 3.0) / b + 1.0) * z
-            y = math.expm1(a * y * y)
-        else:
-            y = ((1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
-                  + 0.5 / (df + 4.0)) * y - 1.0) * (df + 1.0) / (df + 2.0) + 1.0 / y
-        c = math.sqrt(df * y)
-    for _ in range(20):
-        step = 0.5 * (_t_tail(df, c) - alpha) / _t_density(df, c)
-        c += step * (1.0 + step * c * (df + 1.0) / (2.0 * (c * c + df)))
-        if abs(step) <= _CRIT_TOL * c:
-            break
-    return c
 
 
 class _Sufficient:
@@ -275,10 +174,9 @@ def fit_lmm(data) -> LmmFit:
     """Fit the random-intercept model to a dataset by REML and compute the
     two-sided test of zero treatment effect.
 
-    The log of each outcome is taken internally, and beta_hat/se is
-    referred to a Student-t distribution with df = N - lines - 1; p_value
-    is its two-sided tail, kept for reporting, since wald_test_lmm decides
-    by the critical value. Data that as_arrays refuses (an outcome of 0,
+    The log of each outcome is taken internally; p_value is the two-sided
+    Student-t tail of beta_hat/se on df = N - lines - 1, for reporting.
+    Data that as_arrays refuses (an outcome of 0,
     inf or nan among them) and data with no residual degree of freedom
     (N - lines - 1 < 1, which as_arrays's two lines make true of every
     N < 3) raise ValueError.

@@ -120,11 +120,15 @@ class FrailtyParams:
             raise ValidationError(f"ct is only used with censor=True, got ct={self.ct}")
 
 
+def _require_number(name: str, value) -> None:
+    if isinstance(value, _BOOLS) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
 def _require_finite(params, names) -> None:
     for name in names:
         value = getattr(params, name)
-        if isinstance(value, _BOOLS) or not isinstance(value, Real):
-            raise ValidationError(f"{name} must be a number, got {value!r}")
+        _require_number(name, value)
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
 
@@ -287,7 +291,12 @@ def _check_run_settings(sim, alpha, seed) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     if sim < 1:
         raise ValidationError(f"sim must be at least 1, got {sim}")
-    if not (isinstance(alpha, Real) and 0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    _check_alpha(alpha)
     if not 0 <= int(seed) < 2**64:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def _check_alpha(alpha) -> None:
+    """Check a test level, for a run and for every Wald test's critical value."""
+    if not (isinstance(alpha, Real) and 0.0 < alpha < 1.0):
+        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")

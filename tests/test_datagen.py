@@ -75,6 +75,21 @@ class TestReproducibility:
         assert np.array_equal(again.random(16), stream.random(16))
         assert repr(again.bit_generator.state) == repr(stream.bit_generator.state)
 
+    @pytest.mark.parametrize("args", [(1, 3.7, 2, 0), (1.5, 3, 2, 0), (1, 3, 2.0, 0),
+                                      (1, 3, 2, np.float64(4.0))])
+    def test_non_integer_coordinates_raise_as_the_seed_sequence_does(self, args):
+        # int() would truncate 3.7 to 3 and hand out the (1, 3, 2, 0) stream
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(list(args))
+        with pytest.raises(TypeError):
+            replicate_stream(*args)
+
+    def test_numpy_integer_coordinates_give_the_seed_sequence_stream(self):
+        args = (np.uint64(2**63), np.int32(6), np.int64(5), np.uint16(700))
+        got = replicate_stream(*args).bit_generator
+        ref = np.random.Philox(np.random.SeedSequence([int(a) for a in args]))
+        assert np.array_equal(got.random_raw(8), ref.random_raw(8))
+
     @pytest.mark.parametrize("args", [(-1, 3, 2, 0), (1, -3, 2, 0), (1, 3, -2, 0), (1, 3, 2, -1)])
     def test_negative_entropy_rejected(self, args):
         with pytest.raises(ValueError, match="expected non-negative integer"):

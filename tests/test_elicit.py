@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import dataset_to_pilot
@@ -162,3 +163,16 @@ class TestFrailtyFromPilot:
     def test_pilot_without_status_rejected(self, pilot_lognormal):
         with pytest.raises(ValidationError, match="status"):
             elicit_frailty_from_pilot(pilot_lognormal)
+
+
+@pytest.mark.parametrize("elicit", [elicit_anova_from_medians, elicit_frailty_from_medians])
+@pytest.mark.parametrize("ctl_med, tx_med, match", [
+    (True, 2.0, "ctl_med must be a number, got True"),
+    (2.4, np.True_, "tx_med must be a number"),
+    ("2.4", 7.2, "ctl_med must be a number, got '2.4'"),
+    (2.4, None, "tx_med must be a number, got None"),
+])
+def test_median_that_is_not_a_number_rejected(elicit, ctl_med, tx_med, match):
+    # True read as 1.0 gave beta0 = log 1 = 0
+    with pytest.raises(ValidationError, match=match):
+        elicit(ctl_med, tx_med)

@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -926,6 +927,33 @@ class TestWaldTest:
         fit = frailty_fit_like(beta=0.0, se=0.5)
         assert fit.p_value == pytest.approx(1.0)
         assert not wald_test_frailty(fit, 0.05)
+
+    def test_decides_as_the_ndtr_p_value_on_the_smoke_grid(self):
+        # the benchmark's frailty-grid cells at the median parameters: the
+        # normal critical value decides as 2 ndtr(-|z|) < alpha did, and
+        # p_value, from math.erfc, stays within 2e-14 of 2 ndtr(-|z|)
+        # (1.1e-14 over 1,350 fits of these cells)
+        decisions = {0.01: [], 0.05: [], 0.2: []}
+        for n, m in itertools.product((3, 6, 10), (2, 5, 8)):
+            for r in range(20):
+                fit = fit_frailty(gen_frailty(n, m, MEDIAN_FRAILTY, replicate_stream(1, n, m, r)))
+                if not fit.converged:
+                    continue
+                want = 2.0 * float(ndtr(-abs(fit.beta_hat / fit.se_beta)))
+                assert abs(fit.p_value - want) <= 2e-14 * want, (n, m, r)
+                for alpha, decided in decisions.items():
+                    assert wald_test_frailty(fit, alpha) == (want < alpha), (n, m, r, alpha)
+                    decided.append(want < alpha)
+        for decided in decisions.values():
+            assert len(decided) >= 170 and 0 < sum(decided) < len(decided)
+
+    def test_fit_and_test_need_only_wrightomega(self, monkeypatch):
+        ds = gen_frailty(6, 5, MEDIAN_FRAILTY, replicate_stream(1, 6, 5, 1))
+        want = fit_frailty(ds)
+        monkeypatch.setattr(frailty, "_special", lambda: SimpleNamespace(wrightomega=wrightomega))
+        fit = fit_frailty(ds)
+        assert fit == want and fit.converged and fit.tau2_hat > 0
+        assert wald_test_frailty(fit, 0.05) == (fit.p_value < 0.05)
 
 
 def frailty_fit_like(beta, se):
