@@ -50,12 +50,13 @@ def _t_tail(df: float, t: float) -> float:
     if df == math.inf:
         return math.erfc(abs(t) / math.sqrt(2.0))
     u = t * t / df
-    if not 0.0 < u < math.inf:
+    # a finite t whose square overflows still has a tail, formed from log |t|
+    if not 0.0 < u or abs(t) == math.inf:
         return 1.0 if u == 0.0 else 0.0 if u == math.inf else math.nan
     a, b = 0.5 * df, 0.5
-    log1pu = math.log1p(u)
+    log_u, log1pu = _log_u(df, t)
     # log of x^a (1 - x)^b / B(a, b)
-    front = math.exp(-a * log1pu + b * (math.log(u) - log1pu)
+    front = math.exp(-a * log1pu + b * (log_u - log1pu)
                      + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
     x = 1.0 / (1.0 + u)
     if x < (a + 1.0) / (a + b + 2.0):
@@ -63,10 +64,20 @@ def _t_tail(df: float, t: float) -> float:
     return 1.0 - front * _beta_fraction(b, a, u / (1.0 + u)) / b
 
 
-def _t_density(df: float, t: float) -> float:
-    """Student's t density with df degrees of freedom at t."""
-    return math.exp(math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-                    - 0.5 * math.log(df * math.pi) - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+def _log_u(df: float, t: float) -> tuple[float, float]:
+    """log u and log(1 + u) for u = t^2/df > 0. Where t^2 overflows both
+    come from log |t|: 1/u is then below 1e-308, so log(1 + u) = log u."""
+    u = t * t / df
+    if u < math.inf:
+        return math.log(u), math.log1p(u)
+    log_u = 2.0 * math.log(abs(t)) - math.log(df)
+    return log_u, log_u
+
+
+def _log_t_density(df: float, t: float) -> float:
+    """Log of Student's t density with df degrees of freedom at t != 0."""
+    return (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+            - 0.5 * math.log(df * math.pi) - 0.5 * (df + 1.0) * _log_u(df, t)[1])
 
 
 @lru_cache(maxsize=1024)
@@ -78,16 +89,28 @@ def _t_crit(df: float, alpha: float) -> float:
     df it starts Newton steps on log tail against log c, near a line from
     the normal body to the power-law far tail, which stop after a step
     below 1e-7 of c: five at most for df 1 to 500, alpha 1e-100 to 0.99.
+    No step goes past the c where the far tail's power law,
+    2 K c^-df / df for the density's K c^-(df + 1), equals alpha: that
+    law bounds the tail from above, so this c bounds the root, and from a
+    tiny alpha's normal quantile the first step would otherwise overflow.
     """
     _check_alpha(alpha)
     c = -NormalDist().inv_cdf(0.5 * alpha)
     if df == math.inf:
         return c
     log_alpha = math.log(alpha)
+    # log K: the density at t = 1 is K (df + 1)^-(df + 1)/2
+    log_k = _log_t_density(df, 1.0) + 0.5 * (df + 1.0) * math.log1p(df)
+    log_far = (math.log(2.0 / df) + log_k - log_alpha) / df
     for _ in range(50):
-        tail = _t_tail(df, c)
-        step = (math.log(tail) - log_alpha) * tail / (2.0 * c * _t_density(df, c))
-        c *= math.exp(step)
+        log_tail = math.log(_t_tail(df, c))
+        # the Newton step in log c: (log tail - log alpha) * tail / (2 c density)
+        step = (log_tail - log_alpha) * math.exp(
+            log_tail - math.log(2.0 * c) - _log_t_density(df, c))
+        if step < log_far - math.log(c):
+            c *= math.exp(step)
+        else:
+            c = math.exp(log_far)
         if abs(step) <= _CRIT_TOL:
             return c
     raise ArithmeticError(f"no critical value found for df = {df}, alpha = {alpha}")

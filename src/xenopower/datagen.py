@@ -202,13 +202,37 @@ def gen_frailty(n: int, m: int, params: FrailtyParams, stream: np.random.Generat
     censoring on, y = min(T, ct) and status flags observed events.
     """
     line, tx, status, design = _design_arrays(n, m)
-    frailty = stream.normal(0.0, math.sqrt(params.tau2), size=n)
-    u = stream.uniform(size=2 * n * m)
-    rate = params.lam * np.exp(tx * params.beta + frailty[design.codes])
-    t_latent = (-np.log(u) / rate) ** (1.0 / params.nu)
-    if params.censor:
-        status = (t_latent <= params.ct).astype(np.int64)
-        y = np.minimum(t_latent, params.ct)
-    else:
-        y = t_latent
-    return _carrying(SimulatedDataset(line_index=line, tx=tx, y=y, status=status), design)
+    y, events = _frailty_y(_frailty_draws(stream, np.empty(n + 2 * n * m), n), design, params)
+    return _carrying(SimulatedDataset(line_index=line, tx=tx, y=y,
+                                      status=status if events is None else events), design)
+
+
+def _frailty_draws(stream: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
+    """out, filled with gen_frailty's draws in its order: n standard
+    normal line effects, then one uniform per animal."""
+    stream.standard_normal(out=out[:n])
+    stream.random(out=out[n:])
+    return out
+
+
+def _frailty_y(z: np.ndarray, design: Design, params: FrailtyParams):
+    """Outcomes and event flags of the Weibull frailty model from draws z,
+    one dataset per row of (..., k + N): k standard normal line effects,
+    then N uniforms. The design's lines must be contiguous blocks, as
+    _design_arrays lays them out. Scaling a draw by its standard deviation
+    is what ``stream.normal(0, sd)`` does, and a uniform is what
+    ``stream.uniform()`` draws, so a row's outcomes are those of drawing
+    with ``normal`` and ``uniform``, bit for bit. Returns (y, status):
+    status is 0/1 int64, or None without censoring, where every record is
+    an event.
+    """
+    k = design.k
+    # a line's effect broadcasts over its block of animals
+    log_rate = ((design.tx * params.beta).reshape(k, -1)
+                + math.sqrt(params.tau2) * z[..., :k, None])
+    rate = params.lam * np.exp(log_rate)
+    t_latent = (-np.log(z[..., k:].reshape(rate.shape)) / rate) ** (1.0 / params.nu)
+    t_latent = t_latent.reshape(z.shape[:-1] + (-1,))
+    if not params.censor:
+        return t_latent, None
+    return np.minimum(t_latent, params.ct), (t_latent <= params.ct).astype(np.int64)

@@ -9,12 +9,15 @@ under 50% convergence ends the run there, before later cells are reduced.
 
 Work goes to the worker processes in chunks of consecutive replicates of
 one cell: 32 for the frailty model, 512 for the ANOVA model. A chunk never
-spans two cells. A frailty chunk fits its replicates one at a time; an
-ANOVA chunk is one stack, each replicate's draws from its own stream in
-one row, every row's test decided at once as fit_lmm and wald_test_lmm
-decide it: |beta_hat|/se against the cell's one Student-t critical value,
-with no p-value formed. Workers get at most two chunks each ahead of the
-one being read, so a run that ends early leaves little work behind.
+spans two cells. A chunk is one stack, each replicate's draws from its own
+stream in one row. An ANOVA chunk's rows are decided at once as fit_lmm
+and wald_test_lmm decide them; a frailty chunk's rows are fitted together
+by fit_frailty's steps, each row leaving the Newton search at its own
+stop, and decided as wald_test_frailty decides them. Either way a row is
+rejected when |beta_hat|/se exceeds the cell's one critical value
+(Student-t, or normal for frailty), with no p-value formed. Workers get
+at most two chunks each ahead of the one being read, so a run that ends
+early leaves little work behind.
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -23,6 +26,7 @@ property of the generated data and is averaged over all replicates.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections import deque
@@ -33,8 +37,18 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .datagen import _BLOCK, _anova_y, _design_arrays, gen_anova, gen_frailty, replicate_stream
-from .frailty import _special, fit_frailty, wald_test_frailty
+from ._tdist import _t_crit
+from .datagen import (
+    _BLOCK,
+    _anova_y,
+    _design_arrays,
+    _frailty_draws,
+    _frailty_y,
+    gen_anova,
+    gen_frailty,
+    replicate_stream,
+)
+from .frailty import _special, _stacked_fits, fit_frailty, wald_test_frailty
 from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
     AnovaParams,
@@ -48,9 +62,9 @@ from .types import (
 
 __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
 
-# replicates per chunk, by model. A frailty replicate takes about 0.9 ms on
-# a 2-core host, so a chunk of 32 keeps a worker round trip (about 0.4 ms)
-# a small share of its work. A stacked ANOVA chunk takes 7-19 us per
+# replicates per chunk, by model. A stacked frailty chunk of 32 takes about
+# 6-9 ms on a 2-core host, so a worker round trip (about 0.4 ms) is a
+# small share of its work. A stacked ANOVA chunk takes 7-19 us per
 # replicate and is one block of replicates whose stream keys are hashed
 # together.
 _CHUNK = {FrailtyParams: 32, AnovaParams: _BLOCK}
@@ -91,9 +105,15 @@ class PowerJob:
             _special()
 
 
-# the ANOVA layers as imported; _run_chunk stacks a chunk only while every
-# one of these names is still bound to them
-_ANOVA_LAYERS = (replicate_stream, gen_anova, fit_lmm, wald_test_lmm)
+def _layers() -> tuple:
+    """The layer functions a chunk reaches through this module's names."""
+    return (replicate_stream, gen_anova, gen_frailty, fit_lmm, fit_frailty, wald_test_lmm,
+            wald_test_frailty)
+
+
+# the layers as imported; _run_chunk stacks a chunk only while every one of
+# these names is still bound to them
+_LAYERS = _layers()
 
 
 def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,8 +126,9 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The traced benchmark and the layer tests rebind these names to see one
     # call per replicate, so a rebound name selects the per-replicate loop.
     # Chunk-level spans (ROADMAP item 1) retire this comparison.
-    if not is_frailty and (replicate_stream, gen_anova, fit_lmm, wald_test_lmm) == _ANOVA_LAYERS:
-        return _anova_stack(model, n, m, alpha, seed, r_start, r_stop)
+    if _layers() == _LAYERS:
+        stack = _frailty_stack if is_frailty else _anova_stack
+        return stack(model, n, m, alpha, seed, r_start, r_stop)
     # looked up at call time so the layer functions can be swapped on the module
     if is_frailty:
         gen, fit, test = gen_frailty, fit_frailty, wald_test_frailty
@@ -143,6 +164,26 @@ def _anova_stack(model: AnovaParams, n: int, m: int, alpha: float, seed: int,
         replicate_stream(seed, n, m, r).standard_normal(out=row)
     rejected, converged, _t = _balanced_tests(_anova_y(z, design, model), design, alpha)
     return rejected, converged, np.zeros(z.shape[0])
+
+
+def _frailty_stack(model: FrailtyParams, n: int, m: int, alpha: float, seed: int,
+                   r_start: int, r_stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_run_chunk's result for a frailty chunk, as one stack: each
+    replicate's draws from its own stream fill a row, the rows are fitted
+    together as fit_frailty fits each, and every converged row is decided
+    by wald_test_frailty's rule, |beta_hat|/se against the normal critical
+    value."""
+    design = _design_arrays(n, m)[3]
+    z = np.empty((r_stop - r_start, n + 2 * n * m))
+    for row, r in zip(z, range(r_start, r_stop)):
+        _frailty_draws(replicate_stream(seed, n, m, r), row, n)
+    y, status = _frailty_y(z, design, model)
+    if status is None:
+        status = np.ones(y.shape, dtype=np.int64)
+    converged, beta, se, _tau2 = _stacked_fits(y, status, design)
+    with np.errstate(invalid="ignore"):  # the nan estimates of non-converged rows
+        rejected = converged & (np.abs(beta / se) > _t_crit(math.inf, alpha))
+    return rejected, converged, 1.0 - status.mean(axis=1)
 
 
 def _windowed(pool: ProcessPoolExecutor, tasks: list, window: int) -> Iterator:

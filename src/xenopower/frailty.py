@@ -28,6 +28,10 @@ eigenvalues. A fit heading to tau = 0 reports the exact no-frailty
 optimum with tau2_hat = 0; an interior one is kept only where a 31-node
 rule, applied to the optimum's own hazards, agrees with the fit's 15-node
 rule within 1e-4.
+
+The engine fits a simulated chunk as one stack (_stacked_fits): the same
+steps over all its datasets at once, one per row, each row leaving the
+Newton search at its own stop.
 """
 
 from __future__ import annotations
@@ -524,3 +528,348 @@ def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:
     if not fit.converged:
         raise ValueError("cannot test a non-converged fit")
     return abs(fit.beta_hat / fit.se_beta) > _t_crit(math.inf, alpha)
+
+
+# Stacked fits: one simulated cell's datasets, one per row, fitted together
+# by the steps fit_frailty takes one dataset at a time. Every operation is
+# elementwise or reduces along a non-row axis, so a row's result does not
+# depend on the other rows; each search is fit_frailty's, and rows leave it
+# as they stop.
+
+# a stack's hazard sums come in the columns A, A_s, A_ss, A_b, A_sb: the
+# first three over each line, the last two over its treated half; the
+# hazard gradient (A, A_s, A_b) and the 3 x 3 second-derivative matrix
+# (tx^2 = tx, so A_bb = A_b) read them by these indices
+_GRAD_STACKED = [0, 1, 3]
+_SECOND_STACKED = np.array([[0, 1, 3], [1, 2, 4], [3, 4, 3]])
+# how a row's Newton search ended
+_RUNNING, _INTERIOR, _BOUNDARY, _FAILED = 0, 1, 2, 3
+
+
+class _Stack:
+    """_GroupData for a stack of datasets of one simulated cell, one per
+    row: lines are contiguous blocks of J animals, the first half of each
+    block in the control arm, as _design_arrays lays them out."""
+
+    __slots__ = ("tx", "logy", "powers", "d", "events", "n_events", "sum_dlogy")
+
+    def __init__(self, y: np.ndarray, status: np.ndarray, k: int):
+        rows, size = y.shape
+        half = size // (2 * k)
+        self.tx = np.repeat([0.0, 1.0], half)
+        logy = self.logy = np.log(y).reshape(rows, k, 2 * half)
+        status = status.reshape(logy.shape)
+        self.d = status.sum(axis=-1)
+        # each arm's event count, control then treated
+        self.events = status.reshape(rows, k, 2, half).sum(axis=-1).sum(axis=1)
+        self.n_events = self.d.sum(axis=-1)
+        self.sum_dlogy = (status * logy).reshape(rows, size).sum(axis=-1)
+        # 1, log y and (log y)^2, the factors of each line's hazard sums
+        powers = self.powers = np.empty((rows, 3) + logy.shape[1:])
+        powers[:, 0] = 1.0
+        powers[:, 1] = logy
+        np.multiply(logy, logy, out=powers[:, 2])
+
+    def take(self, rows) -> "_Stack":
+        """The stack of the given rows (indices or a mask)."""
+        out = object.__new__(_Stack)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(out, name, value if name == "tx" else value[rows])
+        return out
+
+
+def _stacked_hazard_sums(p: np.ndarray, st: _Stack):
+    """_hazard_sums per row of p = (log lam, log nu, beta, ...): the
+    per-line sums as (rows, 5, lines), columns A, A_s, A_ss, A_b, A_sb;
+    nu; the event part; and which rows are finite."""
+    loglam, lognu, beta = p[:, 0], p[:, 1], p[:, 2]
+    nu = np.exp(lognu)
+    cum = np.exp(loglam[:, None, None] + nu[:, None, None] * st.logy
+                 + beta[:, None, None] * st.tx)
+    terms = st.powers * cum[:, None]
+    sums = np.empty((p.shape[0], 5, st.logy.shape[1]))
+    np.sum(terms, axis=-1, out=sums[:, :3])
+    np.sum(terms[:, :2, :, st.tx.size // 2:], axis=-1, out=sums[:, 3:])
+    finite = np.isfinite(sums).all(axis=(1, 2))
+    # d/d(log nu) of exp(nu log y) brings down nu log y
+    sums[:, 1] *= nu[:, None]
+    sums[:, 2] *= (nu * nu)[:, None]
+    sums[:, 4] *= nu[:, None]
+    sums[:, 2] += sums[:, 1]
+    k_total = (st.n_events * (loglam + lognu) + (nu - 1.0) * st.sum_dlogy
+               + beta * st.events[:, 1])
+    return sums, nu, k_total, finite
+
+
+def _stacked_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: np.ndarray, x: np.ndarray,
+                        logw: np.ndarray):
+    """_line_quadrature per row, logtau one per row: the total, the
+    normalised node weights and the node features exp(node) and
+    node^2/tau2 as (rows, lines, nodes), and which totals are finite."""
+    tau2 = np.exp(2.0 * logtau)[:, None]
+    dt = d * tau2
+    omega = _special().wrightomega(np.log(a_cum) + np.log(tau2) + dt)
+    root = np.sqrt(1.0 + omega)
+    nodes = (dt - omega)[..., None] + (np.sqrt(2.0 * tau2) / root)[..., None] * x
+    ea = np.exp(nodes)
+    q = nodes * nodes
+    q /= tau2[..., None]
+    lw = logw - 0.5 * q + d[..., None] * nodes - a_cum[..., None] * ea
+    mx = lw.max(axis=-1)
+    w = np.exp(lw - mx[..., None])
+    sw = w.sum(axis=-1)
+    total = (mx + np.log(sw / root)).sum(axis=-1) - 0.5 * d.shape[-1] * _LOG_PI
+    return total, w / sw[..., None], ea, q, np.isfinite(total)
+
+
+def _stacked_derivs(p: np.ndarray, st: _Stack):
+    """_loglik_derivs per row of p (rows, 4): the log-likelihood, score
+    (rows, 4), Hessian (rows, 4, 4), hazard column A (rows, lines), event
+    part, and which rows are finite."""
+    sums, nu, k_total, finite = _stacked_hazard_sums(p, st)
+    a_cum = sums[:, 0]
+    total, w, ea, q, finite_lines = _stacked_quadrature(st.d, a_cum, p[:, 3], *_NODES)
+    # per-line weighted means and centred second moments of exp(a) and a^2/tau2
+    e1 = (w * ea).sum(axis=-1)
+    q1_line = (w * q).sum(axis=-1)
+    dev_e = ea - e1[..., None]
+    dev_q = q - q1_line[..., None]
+    w_dev_e = w * dev_e
+    cov_ee = (w_dev_e * dev_e).sum(axis=-1)
+    cov_eq = (w_dev_e * dev_q).sum(axis=-1)
+    cov_qq = (w * dev_q * dev_q).sum(axis=-1)
+    q1 = q1_line.sum(axis=-1)
+    e_sums = (sums * e1[:, None]).sum(axis=-1)
+    grad_a = sums[:, _GRAD_STACKED]
+    score = np.empty((p.shape[0], 4))
+    hess = np.empty((p.shape[0], 4, 4))
+    score[:, 0] = st.n_events - e_sums[:, 0]
+    score[:, 1] = st.n_events + nu * st.sum_dlogy - e_sums[:, 1]
+    score[:, 2] = st.events[:, 1] - e_sums[:, 3]
+    score[:, 3] = q1 - st.d.shape[-1]
+    hess[:, :3, :3] = ((grad_a[:, :, None] * (cov_ee[:, None] * grad_a)[:, None]).sum(axis=-1)
+                       - e_sums[:, _SECOND_STACKED])
+    hess[:, 1, 1] += nu * st.sum_dlogy
+    hess[:, 3, :3] = hess[:, :3, 3] = -(cov_eq[:, None] * grad_a).sum(axis=-1)
+    hess[:, 3, 3] = cov_qq.sum(axis=-1) - 2.0 * q1
+    finite &= (finite_lines & np.isfinite(score).all(axis=1)
+               & np.isfinite(hess).all(axis=(1, 2)))
+    return k_total + total, score, hess, a_cum, k_total, finite
+
+
+def _stacked_no_frailty(st: _Stack):
+    """_no_frailty_fit per row: (p (rows, 3), log-likelihood, Hessian
+    (rows, 3, 3), tau2-score, and which rows found the root in the box).
+    Each row's Newton steps on log nu keep to its own bracket and stop at
+    its own step below 1e-12."""
+    rows, k, size = st.logy.shape
+    half = size // 2
+    # log y by arm: (rows, 2, k * half), the control arm first
+    by_arm = st.logy.reshape(rows, k, 2, half).transpose(0, 2, 1, 3).reshape(rows, 2, k * half)
+    tops = by_arm.max(axis=-1)
+    centred = by_arm - tops[..., None]
+    powers = np.stack((np.ones_like(centred), centred, centred * centred), axis=1)
+    d0, d1 = st.events[:, 0], st.events[:, 1]
+
+    def arm_moments(s):
+        # per arm, sum(y**nu) / exp(nu * top) and the y**nu-weighted mean
+        # and variance of log y - top
+        nu = np.exp(s)
+        weights = np.exp(nu[:, None, None] * centred)[:, None]
+        c, l, q = (powers * weights).sum(axis=-1).transpose(1, 2, 0)
+        mean = l / c
+        return nu, c, mean, q / c - mean * mean
+
+    def h(s):
+        nu, _, mean, var = arm_moments(s)
+        value = (st.n_events / nu + st.sum_dlogy
+                 - (d0 * (tops[:, 0] + mean[0]) + d1 * (tops[:, 1] + mean[1])))
+        slope = -st.n_events / nu - nu * (d0 * var[0] + d1 * var[1])
+        return value, slope
+
+    lo, hi = np.full(rows, -_LOG_NU_MAX), np.full(rows, _LOG_NU_MAX)
+    found = (h(lo)[0] > 0) & (0 > h(hi)[0])
+    searching = found.copy()
+    s = np.zeros(rows)
+    for _ in range(100):
+        if not searching.any():
+            break
+        value, slope = h(s)
+        up = value > 0
+        lo = np.where(searching & up, s, lo)
+        hi = np.where(searching & ~up, s, hi)
+        step = -value / slope
+        searching &= ~(np.abs(step) <= 1e-12)
+        trial = s + step
+        s = np.where(searching, np.where((lo < trial) & (trial < hi), trial, 0.5 * (lo + hi)), s)
+    found &= ~searching
+    nu, c, _, _ = arm_moments(s)
+    log_rate0 = np.log(d0) - nu * tops[:, 0] - np.log(c[0])
+    log_rate1 = np.log(d1) - nu * tops[:, 1] - np.log(c[1])
+    p = np.stack((log_rate0, s, log_rate1 - log_rate0), axis=1)
+    sums, nu, k_total, finite = _stacked_hazard_sums(p, st)
+    total = sums.sum(axis=-1)
+    hess = -total[:, _SECOND_STACKED]
+    hess[:, 1, 1] += nu * st.sum_dlogy
+    a_cum = sums[:, 0]
+    tau2_score = 0.5 * ((st.d - a_cum) ** 2 - a_cum).sum(axis=-1)
+    return p, k_total - total[:, 0], hess, tau2_score, found & finite
+
+
+def _stacked_ascent(score: np.ndarray, hess: np.ndarray):
+    """_ascent_direction per row: the unrolled Cholesky solve of -hess,
+    its pivot checks as masks, and _reflected_steps for the rows where a
+    pivot is not positive."""
+    # the lower triangle, which eigh reads too
+    a = -hess
+    g0, g1, g2, g3 = score.T
+    l00 = np.sqrt(a[:, 0, 0])
+    l10, l20, l30 = a[:, 1, 0] / l00, a[:, 2, 0] / l00, a[:, 3, 0] / l00
+    p1 = a[:, 1, 1] - l10 * l10
+    l11 = np.sqrt(p1)
+    l21 = (a[:, 2, 1] - l20 * l10) / l11
+    l31 = (a[:, 3, 1] - l30 * l10) / l11
+    p2 = a[:, 2, 2] - l20 * l20 - l21 * l21
+    l22 = np.sqrt(p2)
+    l32 = (a[:, 3, 2] - l30 * l20 - l31 * l21) / l22
+    p3 = a[:, 3, 3] - l30 * l30 - l31 * l31 - l32 * l32
+    l33 = np.sqrt(p3)
+    definite = (a[:, 0, 0] > 0) & (p1 > 0) & (p2 > 0) & (p3 > 0)
+    # z = L^-1 score, then direction = L'^-1 z
+    z0 = g0 / l00
+    z1 = (g1 - l10 * z0) / l11
+    z2 = (g2 - l20 * z0 - l21 * z1) / l22
+    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    direction = np.empty(score.shape)
+    x3 = direction[:, 3] = z3 / l33
+    x2 = direction[:, 2] = (z2 - l32 * x3) / l22
+    x1 = direction[:, 1] = (z1 - l21 * x2 - l31 * x3) / l11
+    direction[:, 0] = (z0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+    decrement = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+    # a row with a non-finite entry stays non-definite, as eigh would leave it
+    other = ~definite & np.isfinite(hess).all(axis=(1, 2))
+    if other.any():
+        direction[other], decrement[other], definite[other] = _reflected_steps(
+            score[other], hess[other])
+    return direction, decrement, definite
+
+
+def _reflected_steps(score: np.ndarray, hess: np.ndarray):
+    """_ascent_direction's eigendecomposition branch per row, for rows
+    whose Cholesky pivots are not all positive: -hess's eigenvalues
+    reflected to their magnitudes (floored relative to the largest)."""
+    eig, vec = np.linalg.eigh(-hess)
+    definite = eig[:, 0] > 0
+    mag = np.abs(eig)
+    floor = 1e-8 * np.maximum(mag.max(axis=-1), 1e-300)
+    eig = np.where(definite[:, None], eig, np.maximum(mag, floor[:, None]))
+    coef = (vec * score[:, :, None]).sum(axis=1) / eig
+    direction = (vec * coef[:, None]).sum(axis=-1)
+    return direction, (score * direction).sum(axis=-1), definite
+
+
+def _stacked_newton(st: _Stack, p0: np.ndarray, value0: np.ndarray, tau2_score0: np.ndarray):
+    """_newton per row, from each row's no-frailty optimum p0 with tau at
+    0.3: the rows run their searches together, each row's Armijo search
+    evaluating again only the rows that failed its test, and a row leaves
+    at its own stop. Returns how each search ended (_INTERIOR, _BOUNDARY or
+    _FAILED) and the point, log-likelihood, Hessian, hazard column and
+    event part it ended at."""
+    point = np.column_stack((p0, np.full(p0.shape[0], _LOG_TAU_START)))
+    value, score, hess, a_cum, k_total, finite = _stacked_derivs(point, st)
+    state = (value, score, hess, a_cum, k_total)
+    end = np.where(finite, _RUNNING, _FAILED)
+    for _ in range(_MAX_NEWTON):
+        act = np.flatnonzero(end == _RUNNING)
+        log_tau = point[act, 3]
+        boundary = (score[act, 3] <= 0) & (log_tau < _LOG_TAU_PROBE) & (
+            (log_tau < _LOG_TAU_BOUNDARY) | ((tau2_score0[act] <= 0) & (value[act] <= value0[act])))
+        direction, decrement, definite = _stacked_ascent(score[act], hess[act])
+        interior = ~boundary & definite & (decrement <= _DECREMENT_TOL)
+        end[act[boundary]] = _BOUNDARY
+        end[act[interior]] = _INTERIOR
+        go = ~(boundary | interior)
+        if not go.any():
+            return end, point, value, hess, a_cum, k_total
+        act, direction = act[go], direction[go]
+        near = (definite & (decrement <= _NEAR_DECREMENT))[go]
+        base, grad, target = point[act], score[act], value[act]
+        biggest = np.abs(direction).max(axis=1)
+        big = biggest > _MAX_STEP
+        direction[big] *= (_MAX_STEP / biggest[big])[:, None]
+        todo = np.arange(act.size)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            b = base[todo]
+            trial = b + step * direction[todo]
+            trial[:, 3] = np.maximum(trial[:, 3], _LOG_TAU_LOW)
+            *nxt, finite = _stacked_derivs(trial, st.take(act[todo]))
+            g, moved = grad[todo], trial - b
+            dot = (g[:, 0] * moved[:, 0] + g[:, 1] * moved[:, 1] + g[:, 2] * moved[:, 2]
+                   + g[:, 3] * moved[:, 3])
+            accept = finite & (near[todo] | (nxt[0] >= target[todo] + _ARMIJO * dot))
+            to = act[todo[accept]]
+            point[to] = trial[accept]
+            for array, new in zip(state, nxt):
+                array[to] = new[accept]
+            todo = todo[~accept]
+            if not todo.size:
+                break
+            step *= 0.5
+        end[act[todo]] = _FAILED
+        end[act[(np.abs(point[act, 1]) > _LOG_NU_MAX) | (point[act, 3] > _LOG_TAU_MAX)]] = _FAILED
+    end[end == _RUNNING] = _FAILED
+    return end, point, value, hess, a_cum, k_total
+
+
+def _stacked_fits(y: np.ndarray, status: np.ndarray, design: Design):
+    """fit_frailty over a stack of one simulated cell's datasets, one per
+    row of y and status (rows, animals), on the design _design_arrays
+    lays out: (converged, beta_hat, se_beta, tau2_hat), one entry per row.
+
+    Each row is fitted as fit_frailty fits it: the no-frailty start, the
+    Newton search (_stacked_newton), the 31-node check on interior fits
+    and the checks on var(beta_hat) and lambda_hat. A row that fit_frailty
+    refuses or fails comes back non-converged with nan estimates. Stacked
+    sums round unlike fit_frailty's matrix products, so estimates agree
+    with fit_frailty's to rounding, not bit for bit.
+    """
+    rows = y.shape[0]
+    converged = np.zeros(rows, dtype=bool)
+    beta_hat, se_beta, tau2_hat = np.full((3, rows), np.nan)
+    with np.errstate(all="ignore"):
+        # the outcomes as_arrays accepts, and an event in each arm
+        ids = np.flatnonzero((y.min(axis=1) > 0) & (y.max(axis=1) < np.inf))
+        st = _Stack(y[ids], status[ids].astype(np.float64), design.k)
+        keep = st.events.all(axis=1)
+        ids, st = ids[keep], st.take(keep)
+        p0, value0, hess0, tau2_score0, found = _stacked_no_frailty(st)
+        ids, st = ids[found], st.take(found)
+        p0, value0, hess0, tau2_score0 = p0[found], value0[found], hess0[found], tau2_score0[found]
+        end, point, value, hess, a_cum, k_total = _stacked_newton(st, p0, value0, tau2_score0)
+
+        interior = np.flatnonzero(end == _INTERIOR)
+        # quadrature stability at the optimum, on the optimum's hazard column
+        check, _, _, _, finite = _stacked_quadrature(st.d[interior], a_cum[interior],
+                                                     point[interior, 3], *_CHECK_NODES)
+        stable = finite & ~(np.abs(value[interior] - (k_total[interior] + check)) > _QUAD_TOL)
+        interior = interior[stable]
+        boundary = np.flatnonzero(end == _BOUNDARY)
+        done = np.concatenate((interior, boundary))
+        # a boundary fit is the no-frailty optimum, with a unit row and column for log tau
+        info = np.concatenate((hess[interior], np.zeros((boundary.size, 4, 4))))
+        info[interior.size:, :3, :3] = hess0[boundary]
+        info[interior.size:, 3, 3] = -1.0
+        fitted = np.concatenate((point[interior, :3], p0[boundary]))
+        # var(beta_hat) is the Newton decrement of the unit beta vector
+        _, var_beta, definite = _stacked_ascent(np.tile(_UNIT_BETA, (done.size, 1)), info)
+        good = (definite & (0 < var_beta) & (var_beta < np.inf)
+                & (_LOG_FLOAT_MIN < fitted[:, 0]) & (fitted[:, 0] < _LOG_FLOAT_MAX))
+        out = ids[done[good]]
+        converged[out] = True
+        beta_hat[out] = fitted[good, 2]
+        se_beta[out] = np.sqrt(var_beta[good])
+        tau2_hat[out] = np.concatenate((np.exp(2.0 * point[interior, 3]),
+                                        np.zeros(boundary.size)))[good]
+    return converged, beta_hat, se_beta, tau2_hat

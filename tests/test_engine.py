@@ -11,8 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xenopower import engine
+from xenopower import engine, frailty
 from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
+from xenopower.datasets import pilot_censored
+from xenopower.elicit import elicit_frailty_from_pilot
 from xenopower.engine import EngineError, PowerJob, minimal_designs, run_power_grid
 from xenopower.frailty import fit_frailty, wald_test_frailty
 from xenopower.io import power_csv_text, power_json_dict
@@ -161,7 +163,8 @@ class TestReplicatePipeline:
 
     # the traced benchmark times each layer by swapping these names on the
     # engine module, so every replicate must reach its layers through them;
-    # rebinding any ANOVA name selects the per-replicate loop over the stack
+    # rebinding any one of them selects the per-replicate loop over either
+    # model's stack
     LAYERS = ("replicate_stream", "gen_anova", "gen_frailty", "fit_lmm", "fit_frailty",
               "wald_test_lmm", "wald_test_frailty")
 
@@ -230,6 +233,67 @@ class TestReplicatePipeline:
                                 _inner(*args))
         assert run_power_grid(job) == stacked
         assert len(stacks) == 8  # the loop never stacks
+
+    # the censored pilot's tau2 = 0 parameters, a beta = 0 null, and ct = 4
+    # with non-converged replicates; at the pilot's and ct = 4, (2, 1)
+    # converges too rarely to report, so the two runs must raise alike
+    @pytest.mark.filterwarnings("ignore:cell .* convergence rate")
+    @pytest.mark.parametrize("model", [
+        CENSORED_FRAILTY,
+        elicit_frailty_from_pilot(pilot_censored(), censor=True, ct=8.0),
+        replace(CENSORED_FRAILTY, beta=0.0),
+        replace(CENSORED_FRAILTY, ct=4.0),
+    ], ids=["median", "pilot", "null", "ct4"])
+    def test_stacked_frailty_grid_equals_the_loop(self, monkeypatch, model):
+        # sim = 40 splits each cell into chunks of 32 and 8
+        def outcome(n, m):
+            grid = DesignGrid(n_values=(n,), m_values=(m,), sim=40, alpha=0.05, seed=79)
+            try:
+                return run_power_grid(PowerJob(grid=grid, model=model, worker_count=1))
+            except EngineError as error:
+                return str(error)
+
+        cells = [(2, 1), (3, 2), (10, 8)]
+        stacks = []
+
+        def spy(y, status, design):
+            stacks.append(y.shape)
+            return stacked_fits(y, status, design)
+
+        stacked_fits = engine._stacked_fits
+        monkeypatch.setattr(engine, "_stacked_fits", spy)
+        stacked = [outcome(n, m) for n, m in cells]
+        assert stacks == [(32, 4), (8, 4), (32, 12), (8, 12), (32, 160), (8, 160)]
+        monkeypatch.setattr(engine, "fit_frailty", lambda data: fit_frailty(data))
+        assert [outcome(n, m) for n, m in cells] == stacked
+        assert len(stacks) == 6  # the loop never stacks
+
+    def test_default_frailty_chunk_never_fits_one_replicate(self, monkeypatch):
+        # every fit_frailty call builds a _GroupData; the stack builds none
+        def unbuilt(*args):
+            raise AssertionError("a frailty chunk called fit_frailty")
+
+        monkeypatch.setattr(frailty, "_GroupData", unbuilt)
+        grid = DesignGrid(n_values=(3,), m_values=(2, 5), sim=40, alpha=0.05, seed=79)
+        table = run_power_grid(PowerJob(grid=grid, model=CENSORED_FRAILTY, worker_count=1))
+        assert [row.convergence for row in table.rows] == [100.0, 100.0]
+
+    @pytest.mark.filterwarnings("ignore:cell .* convergence rate")
+    @pytest.mark.parametrize("name", LAYERS)
+    @pytest.mark.parametrize("model", [ANOVA_PILOT, CENSORED_FRAILTY], ids=["anova", "frailty"])
+    def test_any_rebound_layer_selects_the_loop(self, monkeypatch, name, model):
+        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=8, alpha=0.05, seed=79)
+        job = PowerJob(grid=grid, model=model, worker_count=1)
+        stacked = run_power_grid(job)
+
+        def unstacked(*args):
+            raise AssertionError("a chunk stacked with a layer name rebound")
+
+        monkeypatch.setattr(engine, name, lambda *args, _inner=getattr(engine, name):
+                            _inner(*args))
+        monkeypatch.setattr(engine, "_balanced_tests", unstacked)
+        monkeypatch.setattr(engine, "_stacked_fits", unstacked)
+        assert run_power_grid(job) == stacked
 
     def test_stacked_outcomes_are_gen_anova_outcomes(self, monkeypatch):
         # replicates 500..529 cross the 512-replicate block of stream keys

@@ -76,6 +76,44 @@ class TestNewtonFromTheNormalQuantile:
         assert worst <= 2e-12  # 7.5e-13, at df 4 and alpha 0.99
         assert most <= 5
 
+    def test_tiny_levels_match_the_closed_forms_and_the_far_tail(self, monkeypatch):
+        # from the normal quantile (37.1 at alpha 1e-300) the first step once
+        # overflowed; no step now passes the far tail's power law, which
+        # bounds the root. stdtrit is no oracle this far out: it gives -inf at
+        # df 3 to 12 and alpha 1e-300, and half the quantile at df 3 and
+        # alpha 1e-200. So df 1 and 2 use their closed forms, and df >= 3 the
+        # power law 2 K c^-df / df = alpha itself, whose next term,
+        # df^2 (df + 1) / (2 (df + 2)) c^-2 relative, is below 2e-14 once
+        # c > 1e8, and moves c by a df-th of that (the power law agrees with
+        # the quantile from scipy's betaincinv within 1.5e-14)
+        calls = []
+        tail = _tdist._t_tail
+
+        def counted(df, t):
+            calls.append(t)
+            return tail(df, t)
+
+        monkeypatch.setattr(_tdist, "_t_tail", counted)
+        worst, most = 0.0, 0
+        for df in range(1, 21):
+            for alpha in (1e-150, 1e-200, 1e-300):
+                calls.clear()
+                c = _tdist._t_crit.__wrapped__(df, alpha)
+                if df == 1:
+                    want = 1.0 / math.tan(0.5 * math.pi * alpha)
+                elif df == 2:
+                    want = (1.0 - alpha) * math.sqrt(2.0 / (alpha * (2.0 - alpha)))
+                else:
+                    log_k = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+                             - 0.5 * math.log(df * math.pi) + 0.5 * (df + 1) * math.log(df))
+                    want = math.exp((math.log(2.0 / df) + log_k - math.log(alpha)) / df)
+                    assert want > 1e8
+                assert math.isfinite(c), (df, alpha)
+                worst = max(worst, abs(c - want) / want)
+                most = max(most, len(calls))
+        assert worst <= 1e-12  # 2.5e-14, at df 1 and alpha 1e-150
+        assert most <= 2
+
     def test_a_search_that_does_not_settle_raises(self, monkeypatch):
         monkeypatch.setattr(_tdist, "_t_tail", lambda df, t: math.nan)
         with pytest.raises(ArithmeticError, match="no critical value"):
