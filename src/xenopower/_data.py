@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,8 +17,7 @@ class Design:
 
     ``codes`` number the lines 0..k-1 in order of first appearance, so
     ``k`` (the length of ``sizes``) is the number of distinct labels.
-    ``tx`` is the treatment column as float64, checked to be 0/1, and is
-    the treated row of ``arm``, the (2, N) control and treated indicators.
+    ``tx`` is the treatment column as float64, checked to be 0/1.
     ``sx`` holds the per-line sums of tx. ``J`` is the common line size
     when every line has J animals with tx summing to J/2, else None.
     A record may have one line or one arm: as_arrays refuses such data.
@@ -32,21 +30,12 @@ class Design:
     sx: np.ndarray
     Sx: float
     J: Optional[float]
-    arm: np.ndarray
-
-    @cached_property
-    def member(self) -> np.ndarray:
-        """The (k, N) line indicator matrix, built at first use; only frailty reads it."""
-        member = (self.codes[None, :] == np.arange(self.k)[:, None]).astype(np.float64)
-        member.flags.writeable = False
-        return member
 
 
 def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
     if not labels.size:
         raise ValueError("dataset is empty")
-    arm = np.array((1.0 - tx, tx), dtype=np.float64)
-    tx = arm[1]
+    tx = np.array(tx, dtype=np.float64)
     if not np.isin(tx, (0.0, 1.0)).all():
         raise ValueError("tx must be 0 or 1 for every animal")
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
@@ -59,9 +48,9 @@ def _build_design(labels: np.ndarray, tx: np.ndarray) -> Design:
     J = sizes_list[0]
     if sizes_list.count(J) != k or sx.tolist().count(J / 2) != k:
         J = None
-    for array in (codes, sizes, tx, sx, arm):
+    for array in (codes, sizes, tx, sx):
         array.flags.writeable = False
-    return Design(codes=codes, k=k, sizes=sizes, tx=tx, sx=sx, Sx=float(tx.sum()), J=J, arm=arm)
+    return Design(codes=codes, k=k, sizes=sizes, tx=tx, sx=sx, Sx=float(tx.sum()), J=J)
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,7 +150,7 @@ def _block_keys(seed: int, n: int, m: int, block: int) -> np.ndarray:
     return keys
 
 
-# few: a cell's replicates run back to back, and a frailty fit adds k*N floats to its Design
+# few: a cell's replicates run back to back
 @lru_cache(maxsize=8)
 def _design_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Design]:
     """Labels, arm indicators, all-ones status and Design of cell (n, m), shared

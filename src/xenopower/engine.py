@@ -180,7 +180,7 @@ def _frailty_stack(model: FrailtyParams, n: int, m: int, alpha: float, seed: int
     y, status = _frailty_y(z, design, model)
     if status is None:
         status = np.ones(y.shape, dtype=np.int64)
-    converged, beta, se, _tau2 = _stacked_fits(y, status, design)
+    converged, beta, se = _stacked_fits(y, status, design)[:3]
     with np.errstate(invalid="ignore"):  # the nan estimates of non-converged rows
         rejected = converged & (np.abs(beta / se) > _t_crit(math.inf, alpha))
     return rejected, converged, 1.0 - status.mean(axis=1)

@@ -22,16 +22,18 @@ information are analytic: each line's quadrature nodes are held fixed
 within an evaluation, so they are exact for the quadrature rule, and the
 nodes' own movement only enters at the order of the quadrature error
 (Pinheiro & Chao, JCGS 2006). Each step solves with the Cholesky factor
-of the negative information, unrolled in scalars; only where a pivot is
+of the negative information, unrolled elementwise; only where a pivot is
 not positive does it fall back to an eigendecomposition with reflected
 eigenvalues. A fit heading to tau = 0 reports the exact no-frailty
 optimum with tau2_hat = 0; an interior one is kept only where a 31-node
 rule, applied to the optimum's own hazards, agrees with the fit's 15-node
 rule within 1e-4.
 
-The engine fits a simulated chunk as one stack (_stacked_fits): the same
-steps over all its datasets at once, one per row, each row leaving the
-Newton search at its own stop.
+Every fit runs as a stack (_stacked_fits): the same steps over many
+datasets at once, one per row, each row leaving the Newton search at its
+own stop. The engine stacks a chunk's simulated datasets; fit_frailty and
+frailty_loglik lay out their one dataset as a one-row stack (_one_row),
+so a lone fit equals its row of a chunk bit for bit.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ _NEAR_DECREMENT = 1e-6
 _ARMIJO = 1e-4
 # the direction in (log lam, log nu, beta, log tau) whose Newton decrement is var(beta_hat)
 _UNIT_BETA = np.array([0.0, 0.0, 1.0, 0.0])
-# rows of the 3 x 3 second-derivative matrix in the six per-line hazard sums
-_SECOND = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 @dataclass(frozen=True)
@@ -119,94 +119,6 @@ _NODES = _hermite_nodes(_QUAD_POINTS)
 _CHECK_NODES = _hermite_nodes(2 * _QUAD_POINTS + 1)
 
 
-class _GroupData:
-    """Precomputed per-dataset quantities reused across likelihood calls,
-    beside the shared design record that holds the lines, arms and tx."""
-
-    __slots__ = ("design", "logy", "d", "sum_dlogy", "n_events", "events", "basis")
-
-    def __init__(self, design: Design, y: np.ndarray, delta: np.ndarray):
-        self.design = design
-        tx = design.tx
-        logy = self.logy = np.log(y)
-        self.d = np.bincount(design.codes, weights=delta, minlength=design.k)
-        self.sum_dlogy = float(delta @ logy)
-        self.n_events = float(delta.sum())
-        # each arm's event count; the treated arm's is sum(delta tx)
-        self.events = design.arm @ delta
-        # columns 1, log y, tx, (log y)^2, tx log y, tx^2 = tx: BLAS products
-        # over the sums round column 5 unlike column 2, so it keeps its own
-        basis = self.basis = np.empty((logy.size, 6))
-        basis[:, 0] = 1.0
-        basis[:, 1] = logy
-        basis[:, 2] = tx
-        np.multiply(logy, logy, out=basis[:, 3])
-        np.multiply(logy, tx, out=basis[:, 4])
-        basis[:, 5] = tx
-
-
-def _hazard_sums(p: np.ndarray, gd: _GroupData):
-    """Per-line cumulative hazards A = sum(lam y**nu exp(beta tx)) and their
-    derivatives in (l, s, b) = (log lam, log nu, beta), as a (lines, 6)
-    array with columns A (= A_l = A_ll), A_s, A_b, A_ss, A_sb, A_bb; None
-    where it overflows. Also returns nu and the event part of the log-likelihood."""
-    loglam, lognu, beta = p[0], p[1], p[2]
-    nu = math.exp(lognu)
-    design = gd.design
-    cum = np.exp(loglam + nu * gd.logy + beta * design.tx)
-    # an infinite or nan hazard reaches every line's sums (0 * inf is nan)
-    sums = design.member @ (cum[:, None] * gd.basis)
-    if not np.isfinite(sums).all():
-        return None
-    # d/d(log nu) of exp(nu log y) brings down nu log y
-    sums *= np.array([1.0, nu, 1.0, nu * nu, nu, 1.0])
-    sums[:, 3] += sums[:, 1]
-    k_total = gd.n_events * (loglam + lognu) + (nu - 1.0) * gd.sum_dlogy + beta * gd.events[1]
-    return sums, nu, k_total
-
-
-def _line_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: float, x: np.ndarray,
-                     logw: np.ndarray):
-    """Sum over lines of log integral(N(a; 0, tau2) * exp(d*a - A*exp(a)) da)
-    by adaptive Gauss-Hermite quadrature, with each line's normalised node
-    weights (lines, nodes) and node features (lines, 2, nodes): exp(node)
-    and node^2/tau2; None where the sum is not finite. Each line's nodes
-    are centred at its mode, with scale tau / sqrt(1 + omega).
-    """
-    tau2 = math.exp(2.0 * logtau)
-    mode, omega = _integrand_modes(d, a_cum, tau2)
-    root = np.sqrt(1.0 + omega)
-    nodes = mode[:, None] + (math.sqrt(2.0 * tau2) / root)[:, None] * x
-    feats = np.empty((d.size, 2, x.size))
-    ea = np.exp(nodes, out=feats[:, 0])
-    q = np.multiply(nodes, nodes, out=feats[:, 1])
-    q /= tau2
-    lw = logw - 0.5 * q + d[:, None] * nodes - a_cum[:, None] * ea
-    mx = lw.max(axis=1)
-    w = np.exp(lw - mx[:, None])
-    sw = w.sum(axis=1)
-    # per line, log(tau / root) for the node scale less log(sqrt(pi * tau2))
-    # leaves -log(root) - log(pi)/2
-    total = float((mx + np.log(sw / root)).sum()) - 0.5 * d.size * _LOG_PI
-    if not math.isfinite(total):
-        return None
-    return total, w / sw[:, None], feats
-
-
-def _integrand_modes(d: np.ndarray, a_cum: np.ndarray, tau2: float):
-    """Per-line maximizers of -a^2/(2 tau2) + d*a - A*exp(a), and omega.
-
-    The maximizer solves a/tau2 + A*exp(a) = d. With
-    omega = wrightomega(log A + log tau2 + d*tau2) it is d*tau2 - omega,
-    where A*exp(a) = omega/tau2, so the curvature there is
-    (1 + omega)/tau2. A line with A = 0 gets omega = 0 and mode d*tau2;
-    a nan A gives a nan mode.
-    """
-    dt = d * tau2
-    omega = _special().wrightomega(np.log(a_cum) + math.log(tau2) + dt)
-    return dt - omega, omega
-
-
 def frailty_loglik(params, data) -> float:
     """Marginal log-likelihood of (lam, nu, beta, tau2) for a censored
     dataset, by the 15-node quadrature rule that fit_frailty maximises.
@@ -218,244 +130,27 @@ def frailty_loglik(params, data) -> float:
     lam, nu, beta, tau2 = params
     params = FrailtyParams(lam=lam, nu=nu, beta=beta, tau2=tau2)
     logtau = 0.5 * math.log(params.tau2) if params.tau2 > 0 else -math.inf
+    design, y, status = as_arrays(data)
+    y, status, mask = _one_row(design, y, status)
     with np.errstate(all="ignore"):
-        gd = _GroupData(*as_arrays(data))
-        terms = _hazard_sums(np.array([math.log(params.lam), math.log(params.nu), params.beta]), gd)
-        if terms is not None:
-            sums, _, k_total = terms
+        st = _Stack(y, status, design.k, mask)
+        p = np.array([[math.log(params.lam), math.log(params.nu), params.beta]])
+        sums, _, k_total, finite = _stacked_hazard_sums(p, st)
+        if finite[0]:
             if logtau < _LOG_TAU_FLOOR:
                 # floor: the frailty collapses and the likelihood is flat in log tau
-                return float(k_total - sums[:, 0].sum())
-            lines = _line_quadrature(gd.d, sums[:, 0], logtau, *_NODES)
-            if lines is not None:
-                return float(k_total + lines[0])
+                return float(k_total[0] - sums[0, 0].sum())
+            total, *_, finite = _stacked_quadrature(st.d, sums[:, 0], np.array([logtau]), *_NODES)
+            if finite[0]:
+                return float(k_total[0] + total[0])
     raise FloatingPointError("frailty likelihood evaluation diverged")
-
-
-def _loglik_derivs(p: np.ndarray, gd: _GroupData):
-    """Marginal log-likelihood, score and Hessian at
-    p = (log lam, log nu, beta, log tau), and the hazard column and event
-    part they came from, (A, k_total); None where it is not finite.
-
-    Each line's quadrature nodes are held fixed, so the derivatives are
-    those of a fixed-node rule: with normalised node weights, the score
-    of a line is the weighted mean of the integrand's score and its
-    Hessian adds the weighted covariance of that score.
-    """
-    terms = _hazard_sums(p, gd)
-    if terms is None:
-        return None
-    sums, nu, k_total = terms
-    lines = _line_quadrature(gd.d, sums[:, 0], p[3], *_NODES)
-    if lines is None:
-        return None
-    total, w, feats = lines
-    # per-line weighted means and centred second moments of exp(a) and
-    # a^2/tau2, the integrand's score factors in the hazard parameters
-    # and in log tau
-    mean = feats @ w[:, :, None]
-    dev = feats - mean
-    cov = (dev * w[:, None, :]) @ dev.transpose(0, 2, 1)
-    e1, q1 = mean[:, 0, 0], float(mean[:, 1, 0].sum())
-    e_sums = e1 @ sums
-    grad_a = sums[:, :3]
-    # score and Hessian share one buffer, so one check covers both
-    out = np.empty(20)
-    score, hess = out[:4], out[4:].reshape(4, 4)
-    # the event part's score: D, D + nu * sum(delta log y), sum(delta tx)
-    score[:3] = (gd.n_events, gd.n_events + nu * gd.sum_dlogy, gd.events[1])
-    score[:3] -= e_sums[:3]
-    score[3] = q1 - gd.design.k
-    hess[:3, :3] = grad_a.T @ (cov[:, 0, :1] * grad_a) - e_sums[_SECOND]
-    hess[1, 1] += nu * gd.sum_dlogy
-    hess[3, :3] = hess[:3, 3] = -(cov[:, 0, 1] @ grad_a)
-    hess[3, 3] = float(cov[:, 1, 1].sum()) - 2.0 * q1
-    if not np.isfinite(out).all():
-        return None
-    return k_total + total, score, hess, (sums[:, 0], k_total)
-
-
-def _no_frailty_fit(gd: _GroupData):
-    """Exact maximum of the no-frailty model (tau = 0) for a 0/1 treatment.
-
-    For fixed nu the arm rates are d_arm / sum_arm(y**nu), so the profile
-    in s = log nu has derivative nu * h(s) with
-    h(s) = D/nu + sum(delta log y) - sum_arm d_arm * M_arm(nu), M_arm the
-    y**nu-weighted mean of log y; h falls strictly in s, and its root is
-    found by Newton steps kept inside a shrinking bracket. Returns
-    (p, log-likelihood, Hessian, tau2-score at tau2 = 0), or None when
-    the root lies outside the box |log nu| <= log 50.
-    """
-    arm = gd.design.arm
-    treated = gd.design.tx == 1
-    tops = np.array([gd.logy[~treated].max(), gd.logy[treated].max()])
-    centred = gd.logy - tops[treated.astype(np.int64)]
-    # rows: each arm's indicator times 1, log y - top, (log y - top)^2
-    powers = np.concatenate((arm, arm * centred, arm * centred * centred))
-    top0, top1 = tops.tolist()
-    d0, d1 = gd.events.tolist()
-    n_events, sum_dlogy = gd.n_events, gd.sum_dlogy
-
-    def arm_moments(s: float):
-        # sum(y**nu) / exp(nu * top), and the y**nu-weighted mean and
-        # variance of log y - top, per arm; past the one product, scalars
-        nu = math.exp(s)
-        c0, c1, l0, l1, q0, q1 = (powers @ np.exp(nu * centred)).tolist()
-        mean0, mean1 = l0 / c0, l1 / c1
-        return nu, c0, c1, mean0, mean1, q0 / c0 - mean0 * mean0, q1 / c1 - mean1 * mean1
-
-    def h(s: float):
-        nu, _, _, mean0, mean1, var0, var1 = arm_moments(s)
-        value = n_events / nu + sum_dlogy - (d0 * (top0 + mean0) + d1 * (top1 + mean1))
-        slope = -n_events / nu - nu * (d0 * var0 + d1 * var1)
-        return value, slope
-
-    lo, hi = -_LOG_NU_MAX, _LOG_NU_MAX
-    if not (h(lo)[0] > 0 > h(hi)[0]):
-        return None
-    s = 0.0
-    for _ in range(100):
-        value, slope = h(s)
-        if value > 0:
-            lo = s
-        else:
-            hi = s
-        step = -value / slope
-        if abs(step) <= 1e-12:
-            break
-        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
-    else:
-        return None
-    nu, c0, c1 = arm_moments(s)[:3]
-    log_rate0 = math.log(d0) - nu * top0 - math.log(c0)
-    log_rate1 = math.log(d1) - nu * top1 - math.log(c1)
-    p = np.array([log_rate0, s, log_rate1 - log_rate0])
-    sums, nu, k_total = _hazard_sums(p, gd)
-    total = sums.sum(axis=0)
-    hess = -total[_SECOND]
-    hess[1, 1] += nu * gd.sum_dlogy
-    a_cum = sums[:, 0]
-    tau2_score = 0.5 * float(np.sum((gd.d - a_cum) ** 2 - a_cum))
-    return p, float(k_total - total[0]), hess, tau2_score
-
-
-def _ascent_direction(score: np.ndarray, hess: np.ndarray):
-    """Newton direction, Newton decrement score'(-hess)^-1 score, and
-    whether -hess is positive definite.
-
-    The step solves with the Cholesky factor L of -hess, unrolled in
-    scalars for the 4 x 4 case: the decrement is |L^-1 score|^2. Only
-    where a pivot is not positive, so -hess is not positive definite, are
-    its eigenvalues reflected to their magnitudes (floored relative to the
-    largest), so the direction still ascends; such a point never counts
-    as converged.
-    """
-    # the lower triangle, which eigh reads too
-    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = hess.tolist()
-    g0, g1, g2, g3 = score.tolist()
-    # -hess = L L', column by column; each pivot is checked before its root
-    p0 = -a00
-    if p0 > 0:
-        l00 = math.sqrt(p0)
-        l10, l20, l30 = -a10 / l00, -a20 / l00, -a30 / l00
-        p1 = -a11 - l10 * l10
-        if p1 > 0:
-            l11 = math.sqrt(p1)
-            l21 = (-a21 - l20 * l10) / l11
-            l31 = (-a31 - l30 * l10) / l11
-            p2 = -a22 - l20 * l20 - l21 * l21
-            if p2 > 0:
-                l22 = math.sqrt(p2)
-                l32 = (-a32 - l30 * l20 - l31 * l21) / l22
-                p3 = -a33 - l30 * l30 - l31 * l31 - l32 * l32
-                if p3 > 0:
-                    l33 = math.sqrt(p3)
-                    # z = L^-1 score, then direction = L'^-1 z
-                    z0 = g0 / l00
-                    z1 = (g1 - l10 * z0) / l11
-                    z2 = (g2 - l20 * z0 - l21 * z1) / l22
-                    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
-                    x3 = z3 / l33
-                    x2 = (z2 - l32 * x3) / l22
-                    x1 = (z1 - l21 * x2 - l31 * x3) / l11
-                    x0 = (z0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
-                    decrement = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
-                    return np.array([x0, x1, x2, x3]), decrement, True
-    eig, vec = np.linalg.eigh(-hess)
-    definite = eig[0] > 0
-    if not definite:
-        eig = np.maximum(np.abs(eig), 1e-8 * max(float(np.abs(eig).max()), 1e-300))
-    direction = vec @ ((vec.T @ score) / eig)
-    return direction, float(score @ direction), definite
-
-
-def _newton(p: np.ndarray, gd: _GroupData, value0: float, tau2_score0: float):
-    """Damped Newton ascent of the marginal log-likelihood from p.
-
-    Each direction comes from _ascent_direction: a Cholesky solve where
-    -hess is positive definite, reflected eigenvalues elsewhere; only a
-    positive definite point with a Newton decrement at most 1e-10 counts
-    as a maximum.
-
-    Returns (boundary, p, value, hess, hazard), hazard as _loglik_derivs
-    gives it at p: boundary is False at a maximum, and
-    True when the search heads to tau = 0 and either tau has fallen below
-    1e-3, or it is below 0.15 and the no-frailty optimum (log-likelihood
-    value0, tau2-score tau2_score0) is a boundary maximum at least as high,
-    where Newton in log tau would only creep down (about 0.49 a step). The
-    stop cannot change a fit, since a boundary fit reports the no-frailty
-    optimum; from tau = 0.3 it comes about two steps after the start.
-    Returns None when an evaluation is not finite, the line search stalls,
-    the iterate leaves the box or the budget is spent.
-    """
-    current = _loglik_derivs(p, gd)
-    if current is None:
-        return None
-    for _ in range(_MAX_NEWTON):
-        value, score, hess, hazard = current
-        if score[3] <= 0 and p[3] < _LOG_TAU_PROBE and (
-            p[3] < _LOG_TAU_BOUNDARY or (tau2_score0 <= 0 and value <= value0)
-        ):
-            return True, p, value, hess, hazard
-        direction, decrement, definite = _ascent_direction(score, hess)
-        if definite and decrement <= _DECREMENT_TOL:
-            return False, p, value, hess, hazard
-        # within quadrature error of the optimum the value cannot confirm
-        # an ascent, so a near-converged Newton step is taken in full
-        near = definite and decrement <= _NEAR_DECREMENT
-        # the trials' arithmetic on 4 numbers runs in Python floats: the
-        # steps round as numpy's elementwise operations do; the Armijo dot
-        # product may differ from a BLAS dot (which can fuse multiply-adds)
-        # in its last bit, far below the rounding of value + 1e-4 * dot
-        v0, v1, v2, v3 = direction.tolist()
-        biggest = max(abs(v0), abs(v1), abs(v2), abs(v3))
-        if biggest > _MAX_STEP:
-            scale = _MAX_STEP / biggest
-            v0, v1, v2, v3 = v0 * scale, v1 * scale, v2 * scale, v3 * scale
-        b0, b1, b2, b3 = p.tolist()
-        g0, g1, g2, g3 = score.tolist()
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            t0, t1, t2 = b0 + step * v0, b1 + step * v1, b2 + step * v2
-            t3 = max(b3 + step * v3, _LOG_TAU_LOW)
-            trial = np.array([t0, t1, t2, t3])
-            nxt = _loglik_derivs(trial, gd)
-            if nxt is not None and (near or nxt[0] >= value + _ARMIJO * (
-                g0 * (t0 - b0) + g1 * (t1 - b1) + g2 * (t2 - b2) + g3 * (t3 - b3)
-            )):
-                break
-            step *= 0.5
-        else:
-            return None
-        p, current = trial, nxt
-        if abs(t1) > _LOG_NU_MAX or t3 > _LOG_TAU_MAX:
-            return None
-    return None
 
 
 def fit_frailty(data) -> FrailtyFit:
     """Fit the Weibull frailty model by maximum marginal likelihood to
-    right-censored data, which as_arrays checks (raising ValueError).
+    right-censored data, which as_arrays checks (raising ValueError). The
+    dataset is fitted as one row (_one_row) of the stack that the engine
+    fits a chunk by (_stacked_fits), so a lone fit equals its chunk row.
 
     The exact no-frailty optimum (tau = 0) starts a damped Newton search
     over (log lam, log nu, beta, log tau) with tau at 0.3, using the
@@ -479,46 +174,14 @@ def fit_frailty(data) -> FrailtyFit:
     with 3 lines x 3 animals per arm). See README, "Known limitations".
     """
     design, y, status = as_arrays(data)
-    # the helpers set no errstate of their own: log(0) for a zero hazard and
-    # overflowing trial iterates end at their finiteness checks
-    with np.errstate(all="ignore"):
-        gd = _GroupData(design, y, status)
-        if not gd.events.all():
-            # no information about the hazard ratio in one arm: never estimate
-            return _NOT_CONVERGED
-        start = _no_frailty_fit(gd)
-        if start is None:
-            return _NOT_CONVERGED
-        p0, value0, hess0, tau2_score0 = start
-
-        result = _newton(np.append(p0, _LOG_TAU_START), gd, value0, tau2_score0)
-        if result is None:
-            return _NOT_CONVERGED
-        boundary, point, log_likelihood, hess, (a_cum, k_total) = result
-        if boundary:
-            tau2_hat, point, log_likelihood = 0.0, p0, value0
-            # the no-frailty information, with a unit row and column for log tau
-            hess = np.diag([0.0, 0.0, 0.0, -1.0])
-            hess[:3, :3] = hess0
-        else:
-            tau2_hat = math.exp(2.0 * float(point[3]))
-            # quadrature stability at the optimum: refuse fits the node count cannot pin down
-            check = _line_quadrature(gd.d, a_cum, point[3], *_CHECK_NODES)
-            if check is None or abs(log_likelihood - (k_total + check[0])) > _QUAD_TOL:
-                return _NOT_CONVERGED
-        # var(beta_hat), the beta element of the inverse information, is
-        # the Newton decrement of the unit beta vector
-        _, var_beta, definite = _ascent_direction(_UNIT_BETA, hess)
-    if not (definite and 0 < var_beta < math.inf
-            and _LOG_FLOAT_MIN < point[0] < _LOG_FLOAT_MAX):
+    y, status, mask = _one_row(design, y, status)
+    converged, *estimates = (row[0].item() for row in _stacked_fits(y, status, design, mask))
+    if not converged:
         return _NOT_CONVERGED
-
-    beta = float(point[2])
-    se = math.sqrt(var_beta)
-    return FrailtyFit(lambda_hat=math.exp(float(point[0])), nu_hat=math.exp(float(point[1])),
-                      beta_hat=beta, se_beta=se, tau2_hat=tau2_hat,
+    beta, se, tau2, lam, nu, log_likelihood = estimates
+    return FrailtyFit(lambda_hat=lam, nu_hat=nu, beta_hat=beta, se_beta=se, tau2_hat=tau2,
                       p_value=_t_tail(math.inf, beta / se), converged=True,
-                      log_likelihood=float(log_likelihood))
+                      log_likelihood=log_likelihood)
 
 
 def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:
@@ -530,11 +193,10 @@ def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:
     return abs(fit.beta_hat / fit.se_beta) > _t_crit(math.inf, alpha)
 
 
-# Stacked fits: one simulated cell's datasets, one per row, fitted together
-# by the steps fit_frailty takes one dataset at a time. Every operation is
-# elementwise or reduces along a non-row axis, so a row's result does not
-# depend on the other rows; each search is fit_frailty's, and rows leave it
-# as they stop.
+# Stacked fits: datasets of one design, one per row, fitted together. Every
+# operation is elementwise or reduces along a non-row axis, so a row's
+# result does not depend on the other rows, bit for bit; rows leave the
+# Newton search as they stop.
 
 # a stack's hazard sums come in the columns A, A_s, A_ss, A_b, A_sb: the
 # first three over each line, the last two over its treated half; the
@@ -547,13 +209,15 @@ _RUNNING, _INTERIOR, _BOUNDARY, _FAILED = 0, 1, 2, 3
 
 
 class _Stack:
-    """_GroupData for a stack of datasets of one simulated cell, one per
-    row: lines are contiguous blocks of J animals, the first half of each
-    block in the control arm, as _design_arrays lays them out."""
+    """Per-row quantities of a stack of datasets, reused across likelihood
+    calls: each row's lines are contiguous blocks of 2h animals, the first
+    h in the control arm, as _design_arrays lays them out and _one_row lays
+    out any dataset. A mask (rows, animals), 0 on the animals that
+    _one_row's padding adds, zeroes their powers of log y."""
 
     __slots__ = ("tx", "logy", "powers", "d", "events", "n_events", "sum_dlogy")
 
-    def __init__(self, y: np.ndarray, status: np.ndarray, k: int):
+    def __init__(self, y: np.ndarray, status: np.ndarray, k: int, mask=None):
         rows, size = y.shape
         half = size // (2 * k)
         self.tx = np.repeat([0.0, 1.0], half)
@@ -564,11 +228,14 @@ class _Stack:
         self.events = status.reshape(rows, k, 2, half).sum(axis=-1).sum(axis=1)
         self.n_events = self.d.sum(axis=-1)
         self.sum_dlogy = (status * logy).reshape(rows, size).sum(axis=-1)
-        # 1, log y and (log y)^2, the factors of each line's hazard sums
+        # 1, log y and (log y)^2, the factors of each line's hazard sums;
+        # the first, times the mask, is the mask
         powers = self.powers = np.empty((rows, 3) + logy.shape[1:])
         powers[:, 0] = 1.0
         powers[:, 1] = logy
         np.multiply(logy, logy, out=powers[:, 2])
+        if mask is not None:
+            powers *= mask.reshape(rows, 1, k, 2 * half)
 
     def take(self, rows) -> "_Stack":
         """The stack of the given rows (indices or a mask)."""
@@ -579,10 +246,35 @@ class _Stack:
         return out
 
 
+def _one_row(design: Design, y: np.ndarray, status: np.ndarray):
+    """Any dataset as one row of a stack: (y, status, mask), each
+    (1, k * 2h). The animals are sorted by line, then arm, and each line's
+    arms are padded to h, the largest arm's size, with masked copies of the
+    arm's first animal: status 0 and mask 0, so they add to no sum and
+    leave each arm's largest time as it is. A generated dataset is already
+    in this order, and its arms need no padding."""
+    arm = design.tx.astype(np.int64)
+    slot = 2 * design.codes + arm
+    counts = np.bincount(slot, minlength=2 * design.k)
+    h = counts.max()
+    order = np.argsort(slot, kind="stable")
+    # an animal's place: its slot's block of h, then its rank within the slot
+    ranked = slot[order]
+    place = h * ranked + np.arange(ranked.size) - (np.cumsum(counts) - counts)[ranked]
+    # arm.argmin() and arm.argmax() are each arm's first animal
+    source = np.tile(np.repeat([arm.argmin(), arm.argmax()], h), design.k)
+    source[place] = order
+    mask = np.zeros(source.size)
+    mask[place] = 1.0
+    return y[source][None], (status[source] * mask)[None], mask[None]
+
+
 def _stacked_hazard_sums(p: np.ndarray, st: _Stack):
-    """_hazard_sums per row of p = (log lam, log nu, beta, ...): the
-    per-line sums as (rows, 5, lines), columns A, A_s, A_ss, A_b, A_sb;
-    nu; the event part; and which rows are finite."""
+    """Per-line cumulative hazards A = sum(lam y**nu exp(beta tx)) and their
+    derivatives in (l, s, b) = (log lam, log nu, beta), per row of
+    p = (log lam, log nu, beta, ...): the sums as (rows, 5, lines), columns
+    A (= A_l = A_ll), A_s, A_ss, A_b (= A_bb), A_sb; nu; the event part of
+    the log-likelihood; and which rows' sums are finite."""
     loglam, lognu, beta = p[:, 0], p[:, 1], p[:, 2]
     nu = np.exp(lognu)
     cum = np.exp(loglam[:, None, None] + nu[:, None, None] * st.logy
@@ -604,9 +296,18 @@ def _stacked_hazard_sums(p: np.ndarray, st: _Stack):
 
 def _stacked_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: np.ndarray, x: np.ndarray,
                         logw: np.ndarray):
-    """_line_quadrature per row, logtau one per row: the total, the
-    normalised node weights and the node features exp(node) and
-    node^2/tau2 as (rows, lines, nodes), and which totals are finite."""
+    """Sum over lines of log integral(N(a; 0, tau2) * exp(d*a - A*exp(a)) da)
+    by adaptive Gauss-Hermite quadrature, per row, logtau one per row: the
+    total, the normalised node weights and the node features exp(node) and
+    node^2/tau2 as (rows, lines, nodes), and which totals are finite.
+
+    Each line's nodes are centred at the integrand's maximizer, which
+    solves a/tau2 + A*exp(a) = d: with
+    omega = wrightomega(log A + log tau2 + d*tau2) it is d*tau2 - omega,
+    where A*exp(a) = omega/tau2, so the curvature there is (1 + omega)/tau2
+    and the nodes' scale tau / sqrt(1 + omega). A line with A = 0 gets
+    omega = 0 and mode d*tau2; a nan A gives a nan mode.
+    """
     tau2 = np.exp(2.0 * logtau)[:, None]
     dt = d * tau2
     omega = _special().wrightomega(np.log(a_cum) + np.log(tau2) + dt)
@@ -619,18 +320,29 @@ def _stacked_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: np.ndarray, x:
     mx = lw.max(axis=-1)
     w = np.exp(lw - mx[..., None])
     sw = w.sum(axis=-1)
+    # per line, log(tau / root) for the node scale less log(sqrt(pi * tau2))
+    # leaves -log(root) - log(pi)/2
     total = (mx + np.log(sw / root)).sum(axis=-1) - 0.5 * d.shape[-1] * _LOG_PI
     return total, w / sw[..., None], ea, q, np.isfinite(total)
 
 
 def _stacked_derivs(p: np.ndarray, st: _Stack):
-    """_loglik_derivs per row of p (rows, 4): the log-likelihood, score
-    (rows, 4), Hessian (rows, 4, 4), hazard column A (rows, lines), event
-    part, and which rows are finite."""
+    """Marginal log-likelihood, score (rows, 4) and Hessian (rows, 4, 4)
+    per row of p = (log lam, log nu, beta, log tau), with the hazard
+    column A (rows, lines) and event part they came from, and which rows
+    are finite.
+
+    Each line's quadrature nodes are held fixed, so the derivatives are
+    those of a fixed-node rule: with normalised node weights, the score
+    of a line is the weighted mean of the integrand's score and its
+    Hessian adds the weighted covariance of that score.
+    """
     sums, nu, k_total, finite = _stacked_hazard_sums(p, st)
     a_cum = sums[:, 0]
     total, w, ea, q, finite_lines = _stacked_quadrature(st.d, a_cum, p[:, 3], *_NODES)
-    # per-line weighted means and centred second moments of exp(a) and a^2/tau2
+    # per-line weighted means and centred second moments of exp(a) and
+    # a^2/tau2, the integrand's score factors in the hazard parameters and
+    # in log tau
     e1 = (w * ea).sum(axis=-1)
     q1_line = (w * q).sum(axis=-1)
     dev_e = ea - e1[..., None]
@@ -644,6 +356,7 @@ def _stacked_derivs(p: np.ndarray, st: _Stack):
     grad_a = sums[:, _GRAD_STACKED]
     score = np.empty((p.shape[0], 4))
     hess = np.empty((p.shape[0], 4, 4))
+    # the event part's score: D, D + nu * sum(delta log y), sum(delta tx)
     score[:, 0] = st.n_events - e_sums[:, 0]
     score[:, 1] = st.n_events + nu * st.sum_dlogy - e_sums[:, 1]
     score[:, 2] = st.events[:, 1] - e_sums[:, 3]
@@ -659,17 +372,30 @@ def _stacked_derivs(p: np.ndarray, st: _Stack):
 
 
 def _stacked_no_frailty(st: _Stack):
-    """_no_frailty_fit per row: (p (rows, 3), log-likelihood, Hessian
-    (rows, 3, 3), tau2-score, and which rows found the root in the box).
-    Each row's Newton steps on log nu keep to its own bracket and stop at
-    its own step below 1e-12."""
+    """Exact maximum of the no-frailty model (tau = 0) per row, for a 0/1
+    treatment: (p (rows, 3), log-likelihood, Hessian (rows, 3, 3),
+    tau2-score at tau2 = 0, and which rows found the root in the box
+    |log nu| <= log 50).
+
+    For fixed nu the arm rates are d_arm / sum_arm(y**nu), so the profile
+    in s = log nu has derivative nu * h(s) with
+    h(s) = D/nu + sum(delta log y) - sum_arm d_arm * M_arm(nu), M_arm the
+    y**nu-weighted mean of log y; h falls strictly in s, and each row's
+    root is found by Newton steps kept inside its own shrinking bracket,
+    stopping at its own step below 1e-12.
+    """
     rows, k, size = st.logy.shape
     half = size // 2
-    # log y by arm: (rows, 2, k * half), the control arm first
-    by_arm = st.logy.reshape(rows, k, 2, half).transpose(0, 2, 1, 3).reshape(rows, 2, k * half)
-    tops = by_arm.max(axis=-1)
-    centred = by_arm - tops[..., None]
-    powers = np.stack((np.ones_like(centred), centred, centred * centred), axis=1)
+
+    def by_arm(a):
+        # (rows, 2, k * half), the control arm first
+        return a.reshape(rows, k, 2, half).transpose(0, 2, 1, 3).reshape(rows, 2, k * half)
+
+    logy, mask = by_arm(st.logy), by_arm(st.powers[:, 0])
+    tops = logy.max(axis=-1)
+    centred = logy - tops[..., None]
+    # rows: each arm's mask times 1, log y - top, (log y - top)^2
+    powers = np.stack((mask, centred * mask, centred * centred * mask), axis=1)
     d0, d1 = st.events[:, 0], st.events[:, 1]
 
     def arm_moments(s):
@@ -718,9 +444,16 @@ def _stacked_no_frailty(st: _Stack):
 
 
 def _stacked_ascent(score: np.ndarray, hess: np.ndarray):
-    """_ascent_direction per row: the unrolled Cholesky solve of -hess,
-    its pivot checks as masks, and _reflected_steps for the rows where a
-    pivot is not positive."""
+    """Newton direction, Newton decrement score'(-hess)^-1 score, and
+    whether -hess is positive definite, per row.
+
+    The step solves with the Cholesky factor L of -hess, unrolled
+    elementwise for the 4 x 4 case, its pivot checks as masks: the
+    decrement is |L^-1 score|^2. Only for rows where a pivot is not
+    positive, so -hess is not positive definite, does _reflected_steps
+    reflect its eigenvalues, so the direction still ascends; such a point
+    never counts as converged.
+    """
     # the lower triangle, which eigh reads too
     a = -hess
     g0, g1, g2, g3 = score.T
@@ -756,26 +489,41 @@ def _stacked_ascent(score: np.ndarray, hess: np.ndarray):
 
 
 def _reflected_steps(score: np.ndarray, hess: np.ndarray):
-    """_ascent_direction's eigendecomposition branch per row, for rows
-    whose Cholesky pivots are not all positive: -hess's eigenvalues
-    reflected to their magnitudes (floored relative to the largest)."""
+    """_stacked_ascent's eigendecomposition branch per row, for rows whose
+    Cholesky pivots are not all positive: -hess's eigenvalues reflected to
+    their magnitudes (floored relative to the largest)."""
     eig, vec = np.linalg.eigh(-hess)
     definite = eig[:, 0] > 0
     mag = np.abs(eig)
     floor = 1e-8 * np.maximum(mag.max(axis=-1), 1e-300)
     eig = np.where(definite[:, None], eig, np.maximum(mag, floor[:, None]))
-    coef = (vec * score[:, :, None]).sum(axis=1) / eig
-    direction = (vec * coef[:, None]).sum(axis=-1)
-    return direction, (score * direction).sum(axis=-1), definite
+    # direction = vec (vec' score / eig), by matrix products per row
+    coef = (vec.transpose(0, 2, 1) @ score[..., None])[..., 0] / eig
+    direction = (vec @ coef[..., None])[..., 0]
+    return direction, (score[:, None] @ direction[..., None])[:, 0, 0], definite
 
 
 def _stacked_newton(st: _Stack, p0: np.ndarray, value0: np.ndarray, tau2_score0: np.ndarray):
-    """_newton per row, from each row's no-frailty optimum p0 with tau at
-    0.3: the rows run their searches together, each row's Armijo search
+    """Damped Newton ascent of the marginal log-likelihood per row, from
+    each row's no-frailty optimum p0 (log-likelihood value0, tau2-score
+    tau2_score0) with tau at 0.3.
+
+    The rows run their searches together, each row's Armijo search
     evaluating again only the rows that failed its test, and a row leaves
-    at its own stop. Returns how each search ended (_INTERIOR, _BOUNDARY or
-    _FAILED) and the point, log-likelihood, Hessian, hazard column and
-    event part it ended at."""
+    at its own stop. Directions come from _stacked_ascent; only a positive
+    definite point with a Newton decrement at most 1e-10 counts as a
+    maximum (_INTERIOR). A row ends on the boundary (_BOUNDARY) when its
+    search heads to tau = 0 and either tau has fallen below 1e-3, or it is
+    below 0.15 and the no-frailty optimum is a boundary maximum at least
+    as high, where Newton in log tau would only creep down (about 0.49 a
+    step). The stop cannot change a fit, since a boundary fit reports the
+    no-frailty optimum; from tau = 0.3 it comes about two steps after the
+    start. A row fails (_FAILED) when an evaluation is not finite, its line
+    search stalls, it leaves the box or the budget is spent.
+
+    Returns how each search ended and the point, log-likelihood, Hessian,
+    hazard column and event part it ended at.
+    """
     point = np.column_stack((p0, np.full(p0.shape[0], _LOG_TAU_START)))
     value, score, hess, a_cum, k_total, finite = _stacked_derivs(point, st)
     state = (value, score, hess, a_cum, k_total)
@@ -793,6 +541,8 @@ def _stacked_newton(st: _Stack, p0: np.ndarray, value0: np.ndarray, tau2_score0:
         if not go.any():
             return end, point, value, hess, a_cum, k_total
         act, direction = act[go], direction[go]
+        # within quadrature error of the optimum the value cannot confirm
+        # an ascent, so a near-converged Newton step is taken in full
         near = (definite & (decrement <= _NEAR_DECREMENT))[go]
         base, grad, target = point[act], score[act], value[act]
         biggest = np.abs(direction).max(axis=1)
@@ -823,34 +573,38 @@ def _stacked_newton(st: _Stack, p0: np.ndarray, value0: np.ndarray, tau2_score0:
     return end, point, value, hess, a_cum, k_total
 
 
-def _stacked_fits(y: np.ndarray, status: np.ndarray, design: Design):
-    """fit_frailty over a stack of one simulated cell's datasets, one per
-    row of y and status (rows, animals), on the design _design_arrays
-    lays out: (converged, beta_hat, se_beta, tau2_hat), one entry per row.
+def _stacked_fits(y: np.ndarray, status: np.ndarray, design: Design, mask=None):
+    """fit_frailty over a stack of datasets of one design, one per row of y
+    and status (rows, animals) laid out as _Stack reads them, with
+    _one_row's mask where a row is padded: (converged, beta_hat, se_beta,
+    tau2_hat, lambda_hat, nu_hat, log_likelihood), one entry per row.
 
-    Each row is fitted as fit_frailty fits it: the no-frailty start, the
-    Newton search (_stacked_newton), the 31-node check on interior fits
-    and the checks on var(beta_hat) and lambda_hat. A row that fit_frailty
-    refuses or fails comes back non-converged with nan estimates. Stacked
-    sums round unlike fit_frailty's matrix products, so estimates agree
-    with fit_frailty's to rounding, not bit for bit.
+    Each row gets the no-frailty start, the Newton search
+    (_stacked_newton), the 31-node check on interior fits and the checks
+    on var(beta_hat) and lambda_hat, as fit_frailty describes them. A row
+    that is refused or fails comes back non-converged, with nan estimates
+    and log-likelihood -inf.
     """
     rows = y.shape[0]
-    converged = np.zeros(rows, dtype=bool)
-    beta_hat, se_beta, tau2_hat = np.full((3, rows), np.nan)
+    result = converged, beta_hat, se_beta, tau2_hat, lambda_hat, nu_hat, log_likelihood = (
+        np.zeros(rows, dtype=bool), *np.full((5, rows), np.nan), np.full(rows, -np.inf))
+    # the kernels set no errstate of their own: log(0) for a zero hazard and
+    # overflowing trial iterates end at their finiteness checks
     with np.errstate(all="ignore"):
-        # the outcomes as_arrays accepts, and an event in each arm
-        ids = np.flatnonzero((y.min(axis=1) > 0) & (y.max(axis=1) < np.inf))
-        st = _Stack(y[ids], status[ids].astype(np.float64), design.k)
-        keep = st.events.all(axis=1)
-        ids, st = ids[keep], st.take(keep)
+        st = _Stack(y, status.astype(np.float64), design.k, mask)
+        # outcomes positive and finite, as as_arrays requires, and an event in each arm
+        ids = np.flatnonzero(np.isfinite(st.logy).all(axis=(1, 2)) & st.events.all(axis=1))
+        st = st.take(ids)
         p0, value0, hess0, tau2_score0, found = _stacked_no_frailty(st)
         ids, st = ids[found], st.take(found)
+        if not ids.size:
+            return result
         p0, value0, hess0, tau2_score0 = p0[found], value0[found], hess0[found], tau2_score0[found]
         end, point, value, hess, a_cum, k_total = _stacked_newton(st, p0, value0, tau2_score0)
 
         interior = np.flatnonzero(end == _INTERIOR)
-        # quadrature stability at the optimum, on the optimum's hazard column
+        # quadrature stability at the optimum, on the optimum's hazard column:
+        # refuse fits the node count cannot pin down
         check, _, _, _, finite = _stacked_quadrature(st.d[interior], a_cum[interior],
                                                      point[interior, 3], *_CHECK_NODES)
         stable = finite & ~(np.abs(value[interior] - (k_total[interior] + check)) > _QUAD_TOL)
@@ -868,8 +622,10 @@ def _stacked_fits(y: np.ndarray, status: np.ndarray, design: Design):
                 & (_LOG_FLOAT_MIN < fitted[:, 0]) & (fitted[:, 0] < _LOG_FLOAT_MAX))
         out = ids[done[good]]
         converged[out] = True
+        lambda_hat[out], nu_hat[out] = np.exp(fitted[good, :2]).T
         beta_hat[out] = fitted[good, 2]
         se_beta[out] = np.sqrt(var_beta[good])
         tau2_hat[out] = np.concatenate((np.exp(2.0 * point[interior, 3]),
                                         np.zeros(boundary.size)))[good]
-    return converged, beta_hat, se_beta, tau2_hat
+        log_likelihood[out] = np.concatenate((value[interior], value0[boundary]))[good]
+    return result

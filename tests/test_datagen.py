@@ -149,13 +149,6 @@ class TestDesignShape:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
-    def test_line_indicator_matrix_is_built_at_first_use(self):
-        # it holds k*N floats (800 MB for 1,000 lines of 100 animals) and only
-        # the frailty fit reads it, so generating a cell must not build it
-        design = datagen._design_arrays.__wrapped__(50, 20)[3]
-        assert "member" not in vars(design)
-        assert design.member.shape == (50, 2000) and "member" in vars(design)
-
     @pytest.mark.parametrize("n, m", [(0, 2), (3, 0)])
     def test_empty_design_rejected(self, n, m):
         with pytest.raises(ValueError, match="n and m must be positive"):
@@ -254,8 +247,6 @@ def fresh_design(labels, tx):
     return dict(
         codes=codes, k=k, sizes=sizes, tx=[float(t) for t in tx], sx=sx, Sx=float(sum(tx)),
         J=sizes[0] if balanced else None,
-        member=[[float(c == i) for c in codes] for i in range(k)],
-        arm=[[1.0 - float(t) for t in tx], [float(t) for t in tx]],
     )
 
 
@@ -391,7 +382,7 @@ class TestCarriedDesign:
         carried = _data.as_arrays(data)[0]
         built = _data._build_design(data.line_index, data.tx)
         assert carried is data._design
-        for name in [f.name for f in dataclasses.fields(_data.Design)] + ["member"]:
+        for name in [f.name for f in dataclasses.fields(_data.Design)]:
             got, want = getattr(carried, name), getattr(built, name)
             if isinstance(want, np.ndarray):
                 assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -269,11 +269,11 @@ class TestReplicatePipeline:
         assert len(stacks) == 6  # the loop never stacks
 
     def test_default_frailty_chunk_never_fits_one_replicate(self, monkeypatch):
-        # every fit_frailty call builds a _GroupData; the stack builds none
+        # every fit_frailty call lays its dataset out as one row; the stack lays out none
         def unbuilt(*args):
             raise AssertionError("a frailty chunk called fit_frailty")
 
-        monkeypatch.setattr(frailty, "_GroupData", unbuilt)
+        monkeypatch.setattr(frailty, "_one_row", unbuilt)
         grid = DesignGrid(n_values=(3,), m_values=(2, 5), sim=40, alpha=0.05, seed=79)
         table = run_power_grid(PowerJob(grid=grid, model=CENSORED_FRAILTY, worker_count=1))
         assert [row.convergence for row in table.rows] == [100.0, 100.0]
