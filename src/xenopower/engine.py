@@ -9,15 +9,18 @@ under 50% convergence ends the run there, before later cells are reduced.
 
 Work goes to the worker processes in chunks of consecutive replicates of
 one cell: 32 for the frailty model, 512 for the ANOVA model. A chunk never
-spans two cells. A chunk is one stack, each replicate's draws from its own
-stream in one row. An ANOVA chunk's rows are decided at once as fit_lmm
-and wald_test_lmm decide them; a frailty chunk's rows are fitted together
-by fit_frailty's steps, each row leaving the Newton search at its own
-stop, and decided as wald_test_frailty decides them. Either way a row is
-rejected when |beta_hat|/se exceeds the cell's one critical value
-(Student-t, or normal for frailty), with no p-value formed. Workers get
-at most two chunks each ahead of the one being read, so a run that ends
-early leaves little work behind.
+spans two cells. A chunk is one stack: datagen._simulate draws each
+replicate's row from its own stream (gen_anova and gen_frailty are its
+one-row case, so a row is their dataset bit for bit), then
+lmm._balanced_tests or frailty._stacked_tests decides the rows at once as
+fit_* and wald_test_* decide a lone dataset: a row is rejected when
+|beta_hat|/se exceeds the cell's one critical value (Student-t, or normal
+for frailty), with no p-value formed. Workers get at most two chunks each
+ahead of the one being read, so a run that ends early leaves little work
+behind. A chunk loops over its replicates through gen_*, fit_* and
+wald_test_* only while one of those names, or replicate_stream, is
+rebound here: the traced benchmark and the layer tests do that to see
+each call, which a stack never makes (until chunk spans, ROADMAP item 1).
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -26,29 +29,18 @@ property of the generated data and is averaged over all replicates.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ._tdist import _t_crit
-from .datagen import (
-    _BLOCK,
-    _anova_y,
-    _design_arrays,
-    _frailty_draws,
-    _frailty_y,
-    gen_anova,
-    gen_frailty,
-    replicate_stream,
-)
-from .frailty import _special, _stacked_fits, fit_frailty, wald_test_frailty
+from .datagen import _BLOCK, _design_arrays, _simulate, gen_anova, gen_frailty, replicate_stream
+from .frailty import _special, _stacked_tests, fit_frailty, wald_test_frailty
 from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
     AnovaParams,
@@ -127,8 +119,14 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     # call per replicate, so a rebound name selects the per-replicate loop.
     # Chunk-level spans (ROADMAP item 1) retire this comparison.
     if _layers() == _LAYERS:
-        stack = _frailty_stack if is_frailty else _anova_stack
-        return stack(model, n, m, alpha, seed, r_start, r_stop)
+        design = _design_arrays(n, m)[3]
+        streams = map(replicate_stream, repeat(seed), repeat(n), repeat(m), range(r_start, r_stop))
+        y, status, censoring = _simulate(model, design, streams, r_stop - r_start)
+        if is_frailty:
+            rejected, converged = _stacked_tests(y, status, design, alpha)
+        else:
+            rejected, converged, _t = _balanced_tests(y, design, alpha)
+        return rejected, converged, censoring
     # looked up at call time so the layer functions can be swapped on the module
     if is_frailty:
         gen, fit, test = gen_frailty, fit_frailty, wald_test_frailty
@@ -150,40 +148,6 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             converged[i] = True
             rejected[i] = test(result, alpha)
     return rejected, converged, censoring
-
-
-def _anova_stack(model: AnovaParams, n: int, m: int, alpha: float, seed: int,
-                 r_start: int, r_stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_run_chunk's result for an ANOVA chunk, as one stack: each
-    replicate's draws from its own stream fill a row, and every row's test
-    is decided at once by the cell's critical value, as gen_anova, fit_lmm
-    and wald_test_lmm decide it."""
-    design = _design_arrays(n, m)[3]
-    z = np.empty((r_stop - r_start, n + 2 * n * m))
-    for row, r in zip(z, range(r_start, r_stop)):
-        replicate_stream(seed, n, m, r).standard_normal(out=row)
-    rejected, converged, _t = _balanced_tests(_anova_y(z, design, model), design, alpha)
-    return rejected, converged, np.zeros(z.shape[0])
-
-
-def _frailty_stack(model: FrailtyParams, n: int, m: int, alpha: float, seed: int,
-                   r_start: int, r_stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_run_chunk's result for a frailty chunk, as one stack: each
-    replicate's draws from its own stream fill a row, the rows are fitted
-    together as fit_frailty fits each, and every converged row is decided
-    by wald_test_frailty's rule, |beta_hat|/se against the normal critical
-    value."""
-    design = _design_arrays(n, m)[3]
-    z = np.empty((r_stop - r_start, n + 2 * n * m))
-    for row, r in zip(z, range(r_start, r_stop)):
-        _frailty_draws(replicate_stream(seed, n, m, r), row, n)
-    y, status = _frailty_y(z, design, model)
-    if status is None:
-        status = np.ones(y.shape, dtype=np.int64)
-    converged, beta, se = _stacked_fits(y, status, design)[:3]
-    with np.errstate(invalid="ignore"):  # the nan estimates of non-converged rows
-        rejected = converged & (np.abs(beta / se) > _t_crit(math.inf, alpha))
-    return rejected, converged, 1.0 - status.mean(axis=1)
 
 
 def _windowed(pool: ProcessPoolExecutor, tasks: list, window: int) -> Iterator:

@@ -193,6 +193,17 @@ def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:
     return abs(fit.beta_hat / fit.se_beta) > _t_crit(math.inf, alpha)
 
 
+def _stacked_tests(y: np.ndarray, status, design: Design, alpha: float):
+    """(rejected, converged) of fit_frailty and wald_test_frailty for each
+    row of a stack that _stacked_fits fits (status None: all events); no
+    p-value is formed."""
+    if status is None:
+        status = np.ones(y.shape)
+    converged, beta, se = _stacked_fits(y, status, design)[:3]
+    with np.errstate(invalid="ignore"):  # the nan estimates of non-converged rows
+        return converged & (np.abs(beta / se) > _t_crit(math.inf, alpha)), converged
+
+
 # Stacked fits: datasets of one design, one per row, fitted together. Every
 # operation is elementwise or reduces along a non-row axis, so a row's
 # result does not depend on the other rows, bit for bit; rows leave the

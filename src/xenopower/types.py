@@ -148,8 +148,8 @@ class PilotDataset:
     """A pilot dataset of animals with line id, outcome, arm, and an
     optional event indicator (1 = event observed, 0 = censored).
 
-    Every Y must be positive and finite. Line identifiers are opaque
-    strings compared by equality.
+    Every Y must be a positive, finite number, Tx and status (or None)
+    integers 0 or 1, not bools. Line ids are strings compared by equality.
     """
 
     rows: Tuple[PilotRecord, ...]
@@ -159,12 +159,15 @@ class PilotDataset:
         if not self.rows:
             raise ValidationError("pilot dataset has no data rows")
         for k, r in enumerate(self.rows, start=1):
+            if not isinstance(r.id, str):
+                raise ValidationError(f"line id must be a string at row {k} (got {r.id!r})")
+            _require_number(f"Y at row {k}", r.y)
             if not 0 < r.y < math.inf:
                 raise ValidationError(f"Y must be positive and finite at row {k} (got {r.y})")
-            if r.tx not in (0, 1):
-                raise ValidationError(f"Tx must be 0 or 1 at row {k} (got {r.tx})")
-            if r.status is not None and r.status not in (0, 1):
-                raise ValidationError(f"status must be 0 or 1 at row {k} (got {r.status})")
+            if not (_is_integer(r.tx) and r.tx in (0, 1)):
+                raise ValidationError(f"Tx must be 0 or 1 at row {k} (got {r.tx!r})")
+            if r.status is not None and not (_is_integer(r.status) and r.status in (0, 1)):
+                raise ValidationError(f"status must be 0 or 1 at row {k} (got {r.status!r})")
         ids = {r.id for r in self.rows}
         if len(ids) < 2:
             raise ValidationError("pilot dataset must contain at least 2 distinct line ids")

@@ -149,6 +149,28 @@ class TestDesignShape:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
+    @pytest.mark.parametrize("gen, params", [
+        (gen_anova, anova_params()),
+        (gen_frailty, frailty_params()),
+        (gen_frailty, frailty_params(censor=False, ct=None)),
+    ], ids=["anova", "frailty", "uncensored"])
+    def test_a_dataset_is_the_one_row_stack(self, monkeypatch, gen, params):
+        # the engine's chunks draw through _simulate; gen_* are its one-row case
+        calls = []
+
+        def spy(*args):
+            stacked = simulate(*args)
+            calls.append(stacked)
+            return stacked
+
+        simulate = datagen._simulate
+        monkeypatch.setattr(datagen, "_simulate", spy)
+        ds = gen(3, 2, params, replicate_stream(5, 3, 2, 0))
+        ((y, status, censoring),) = calls
+        assert y.shape == (1, 12) and ds.y.tobytes() == y[0].tobytes()
+        assert (status is None) == (not getattr(params, "censor", False))
+        assert censoring[0] == ds.censoring_fraction
+
     @pytest.mark.parametrize("n, m", [(0, 2), (3, 0)])
     def test_empty_design_rejected(self, n, m):
         with pytest.raises(ValueError, match="n and m must be positive"):

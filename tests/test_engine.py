@@ -220,11 +220,12 @@ class TestReplicatePipeline:
         stacks = []
 
         def spy(*args):
-            stacks.append(args[0].shape)
-            return balanced_tests(*args)
+            stacked = simulate(*args)
+            stacks.append(stacked[0].shape)
+            return stacked
 
-        balanced_tests = engine._balanced_tests
-        monkeypatch.setattr(engine, "_balanced_tests", spy)
+        simulate = engine._simulate
+        monkeypatch.setattr(engine, "_simulate", spy)
         stacked = run_power_grid(job)
         assert stacks == [(512, 4), (88, 4), (512, 8), (88, 8), (512, 6), (88, 6),
                           (512, 12), (88, 12)]
@@ -256,12 +257,13 @@ class TestReplicatePipeline:
         cells = [(2, 1), (3, 2), (10, 8)]
         stacks = []
 
-        def spy(y, status, design):
-            stacks.append(y.shape)
-            return stacked_fits(y, status, design)
+        def spy(*args):
+            stacked = simulate(*args)
+            stacks.append(stacked[0].shape)
+            return stacked
 
-        stacked_fits = engine._stacked_fits
-        monkeypatch.setattr(engine, "_stacked_fits", spy)
+        simulate = engine._simulate
+        monkeypatch.setattr(engine, "_simulate", spy)
         stacked = [outcome(n, m) for n, m in cells]
         assert stacks == [(32, 4), (8, 4), (32, 12), (8, 12), (32, 160), (8, 160)]
         monkeypatch.setattr(engine, "fit_frailty", lambda data: fit_frailty(data))
@@ -291,20 +293,21 @@ class TestReplicatePipeline:
 
         monkeypatch.setattr(engine, name, lambda *args, _inner=getattr(engine, name):
                             _inner(*args))
-        monkeypatch.setattr(engine, "_balanced_tests", unstacked)
-        monkeypatch.setattr(engine, "_stacked_fits", unstacked)
+        monkeypatch.setattr(engine, "_simulate", unstacked)
         assert run_power_grid(job) == stacked
 
     def test_stacked_outcomes_are_gen_anova_outcomes(self, monkeypatch):
         # replicates 500..529 cross the 512-replicate block of stream keys
         stacked = []
 
-        def spy(y, design, alpha):
+        def spy(*args):
+            y, status, censoring = simulate(*args)
+            assert status is None and not censoring.any()
             stacked.append(y.copy())
-            return balanced_tests(y, design, alpha)
+            return y, status, censoring
 
-        balanced_tests = engine._balanced_tests
-        monkeypatch.setattr(engine, "_balanced_tests", spy)
+        simulate = engine._simulate
+        monkeypatch.setattr(engine, "_simulate", spy)
         p = ANOVA_PILOT
         for n, m in [(2, 1), (3, 2), (7, 3), (10, 8)]:
             engine._run_chunk((p, n, m, 0.05, 77, 500, 530))

@@ -240,6 +240,25 @@ class TestPilotDataset:
         with pytest.raises(ValidationError, match=r"status must be 0 or 1 at row 2 \(got 2\)"):
             PilotDataset(rows=tuple(rows))
 
+    @pytest.mark.parametrize("row, match", [
+        (PilotRecord("b", True, 1), "Y at row 2 must be a number"),
+        (PilotRecord("b", "2.0", 1), "Y at row 2 must be a number"),
+        (PilotRecord("b", 2.0, True), "Tx must be 0 or 1 at row 2"),
+        (PilotRecord("b", 2.0, 1.0), "Tx must be 0 or 1 at row 2"),
+        (PilotRecord("b", 2.0, 1, True), "status must be 0 or 1 at row 2"),
+        (PilotRecord(1, 2.0, 1), "line id must be a string at row 2"),
+        (PilotRecord(None, 2.0, 1), "line id must be a string at row 2"),
+    ], ids=["bool-y", "str-y", "bool-tx", "float-tx", "bool-status", "int-id", "none-id"])
+    def test_wrongly_typed_fields_named_with_row(self, row, match):
+        rows = [PilotRecord("a", 1.0, 0, 1), row]
+        with pytest.raises(ValidationError, match=match):
+            PilotDataset(rows=tuple(rows))
+
+    def test_numpy_numbers_accepted(self):
+        rows = [PilotRecord("a", np.float64(1.0), np.int64(0), np.int64(1)),
+                PilotRecord("b", np.float32(2.0), np.int8(1), np.uint8(0))]
+        assert PilotDataset(rows=tuple(rows)).line_ids() == ("a", "b")
+
     def test_line_ids_first_appearance_order(self):
         rows = [PilotRecord("x9", 1.0, 0), PilotRecord("a1", 2.0, 1), PilotRecord("x9", 3.0, 1)]
         assert PilotDataset(rows=tuple(rows)).line_ids() == ("x9", "a1")
