@@ -8,7 +8,9 @@ dataset never depends on how replicates are scheduled across workers.
 Each replicate's stream is a Philox generator keyed by numpy's SeedSequence
 hash of (seed, n, m, r). The hash runs over 512 replicates at a time as
 uint32 array arithmetic and gives the keys ``SeedSequence([seed, n, m, r])``
-gives, which stays the test oracle.
+gives, which stays the test oracle. A chunk of replicates re-keys one
+Philox generator from those keys instead of building a generator per
+replicate; replicate_stream stays the per-replicate entry and its oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
@@ -31,13 +34,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-# replicates per block of keys: one ANOVA chunk. It divides 2**32, so the
-# replicates of a block differ only in the lowest word of r.
+# replicates per block of keys, and per chunk of either model. It divides
+# 2**32, so the replicates of a block differ only in the lowest word of r.
 _BLOCK = 512
 # Philox's default counter, as the array that Philox turns an int into
 # (about 1 us cheaper to pass than the int 0)
 _COUNTER = np.zeros(4, dtype=np.uint64)
 _COUNTER.flags.writeable = False
+# what a chunk's Philox is seeded with before its first re-keying; built
+# once, so a run builds no SeedSequence
+_UNKEYED = np.random.SeedSequence(0)
 
 
 def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
@@ -57,6 +63,33 @@ def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
     block, i = divmod(entropy[3], _BLOCK)
     key = _block_keys(entropy[0], entropy[1], entropy[2], block)[i]
     return np.random.Generator(np.random.Philox(_Keyed(key, entropy), counter=_COUNTER))
+
+
+def _chunk_streams(seed: int, n: int, m: int, r_start: int,
+                   r_stop: int) -> Iterator[np.random.Generator]:
+    """The streams of replicates r_start..r_stop-1 of cell (n, m), in order,
+    each drawing what ``replicate_stream(seed, n, m, r)`` draws.
+
+    It yields one generator every time, re-keyed through its Philox
+    ``state`` setter from the replicate's row of _block_keys, with the
+    counter zero and the buffer empty, as a new Philox starts. So a yielded
+    stream is valid only until the next one is drawn from the iterator, and
+    its ``seed_seq`` is not the replicate's. The coordinates must be
+    non-negative ints.
+    """
+    stream = np.random.Generator(np.random.Philox(_UNKEYED))
+    bits = stream.bit_generator
+    # lists of Python ints, which the setter reads faster than array items
+    zeros = [0] * 4
+    inner = {"counter": zeros, "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": zeros, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for block in range(r_start // _BLOCK, -(-r_stop // _BLOCK)):
+        first = block * _BLOCK
+        for key in _block_keys(seed, n, m, block)[max(r_start - first, 0):r_stop - first].tolist():
+            inner["key"] = key
+            bits.state = state
+            yield stream
 
 
 class _Keyed(ISpawnableSeedSequence):
@@ -197,19 +230,16 @@ def _simulate(params, design: Design, streams, rows: int):
     """(y, status, censoring) of a stack of datasets on a design of
     _design_arrays, row i drawn from the i-th of the ``rows`` streams: k
     normal line effects, then per animal a normal (ANOVA) or a uniform
-    (frailty). status is None, and censoring 0, where every record is an
-    event."""
+    (frailty). A stream has drawn its row before the next is taken, as
+    _chunk_streams requires. status is None, and censoring 0, where every
+    record is an event."""
     k = design.k
     z = np.empty((rows, k + design.codes.size))
-    # next(), not zip(): each stream is freed as soon as it has drawn, about
-    # 0.1 us a row less (of 4 us to key a stream and draw, on a 2-core host)
-    streams = iter(streams)
     if isinstance(params, AnovaParams):
-        for row in z:
-            next(streams).standard_normal(out=row)
+        for row, stream in zip(z, streams, strict=True):
+            stream.standard_normal(out=row)
         return _anova_y(z, design, params), None, np.zeros(rows)
-    for row in z:
-        stream = next(streams)
+    for row, stream in zip(z, streams, strict=True):
         stream.standard_normal(out=row[:k])
         stream.random(out=row[k:])
     y, status = _frailty_y(z, design, params)

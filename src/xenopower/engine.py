@@ -7,20 +7,23 @@ fitted, and tested independently. Cells are reduced in grid order, each
 from its replicates in replicate order, as soon as they are in; a cell
 under 50% convergence ends the run there, before later cells are reduced.
 
-Work goes to the worker processes in chunks of consecutive replicates of
-one cell: 32 for the frailty model, 512 for the ANOVA model. A chunk never
-spans two cells. A chunk is one stack: datagen._simulate draws each
-replicate's row from its own stream (gen_anova and gen_frailty are its
-one-row case, so a row is their dataset bit for bit), then
-lmm._balanced_tests or frailty._stacked_tests decides the rows at once as
-fit_* and wald_test_* decide a lone dataset: a row is rejected when
-|beta_hat|/se exceeds the cell's one critical value (Student-t, or normal
-for frailty), with no p-value formed. Workers get at most two chunks each
-ahead of the one being read, so a run that ends early leaves little work
-behind. A chunk loops over its replicates through gen_*, fit_* and
-wald_test_* only while one of those names, or replicate_stream, is
-rebound here: the traced benchmark and the layer tests do that to see
-each call, which a stack never makes (until chunk spans, ROADMAP item 1).
+Work goes to the worker processes in chunks of up to 512 consecutive
+replicates of one cell, for either model: the block of replicates whose
+stream keys are hashed together. A chunk never spans two cells. A chunk
+is one stack: datagen._simulate draws each replicate's row from its own
+stream, one Philox generator re-keyed per replicate (gen_anova and
+gen_frailty are its one-row case, so a row is their dataset bit for
+bit), then lmm._balanced_tests or frailty._stacked_tests decides the
+rows at once as fit_* and wald_test_* decide a lone dataset: a row is
+rejected when |beta_hat|/se exceeds the cell's one critical value
+(Student-t, or normal for frailty), with no p-value formed. Workers get
+at most two chunks each ahead of the one being read. A chunk can be a
+whole cell, so a run that ends early may leave up to two cells' worth of
+chunks per worker behind. A chunk loops over its replicates through
+gen_*, fit_* and wald_test_* only while one of those names, or
+replicate_stream, is rebound here: the traced benchmark and the layer
+tests do that to see each call, which a stack never makes (until chunk
+spans, ROADMAP item 1).
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a
@@ -34,12 +37,13 @@ import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .datagen import _BLOCK, _design_arrays, _simulate, gen_anova, gen_frailty, replicate_stream
+from .datagen import (_BLOCK, _chunk_streams, _design_arrays, _simulate, gen_anova, gen_frailty,
+                      replicate_stream)
 from .frailty import _special, _stacked_tests, fit_frailty, wald_test_frailty
 from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
@@ -54,12 +58,6 @@ from .types import (
 
 __all__ = ["PowerJob", "EngineError", "run_power_grid", "minimal_designs"]
 
-# replicates per chunk, by model. A stacked frailty chunk of 32 takes about
-# 6-9 ms on a 2-core host, so a worker round trip (about 0.4 ms) is a
-# small share of its work. A stacked ANOVA chunk takes 7-19 us per
-# replicate and is one block of replicates whose stream keys are hashed
-# together.
-_CHUNK = {FrailtyParams: 32, AnovaParams: _BLOCK}
 _MIN_CONVERGENCE_PCT = 50.0
 _WARN_CONVERGENCE_PCT = 99.0
 _WINDOW_PER_WORKER = 2
@@ -120,7 +118,7 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Chunk-level spans (ROADMAP item 1) retire this comparison.
     if _layers() == _LAYERS:
         design = _design_arrays(n, m)[3]
-        streams = map(replicate_stream, repeat(seed), repeat(n), repeat(m), range(r_start, r_stop))
+        streams = _chunk_streams(seed, n, m, r_start, r_stop)
         y, status, censoring = _simulate(model, design, streams, r_stop - r_start)
         if is_frailty:
             rejected, converged = _stacked_tests(y, status, design, alpha)
@@ -208,10 +206,9 @@ def run_power_grid(job: PowerJob, progress: Optional[Callable[[int, int], None]]
     cells = [(n, m) for n in grid.n_values for m in grid.m_values]
     sim, alpha, seed = grid.sim, grid.alpha, grid.seed
     is_frailty = isinstance(job.model, FrailtyParams)
-    chunk = _CHUNK[type(job.model)]
-    chunks_per_cell = len(range(0, sim, chunk))
-    tasks = [(job.model, n, m, alpha, seed, r0, min(r0 + chunk, sim))
-             for n, m in cells for r0 in range(0, sim, chunk)]
+    chunks_per_cell = len(range(0, sim, _BLOCK))
+    tasks = [(job.model, n, m, alpha, seed, r0, min(r0 + _BLOCK, sim))
+             for n, m in cells for r0 in range(0, sim, _BLOCK)]
     # a process pool starts all its workers at its first submit, so start
     # none that no chunk needs
     workers = min(_resolve_workers(job.worker_count), len(tasks))

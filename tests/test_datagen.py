@@ -121,6 +121,38 @@ class TestReproducibility:
         assert not np.array_equal(a.y, b.y)
 
 
+class TestChunkStreams:
+    """datagen._chunk_streams, the re-keyed generator of a chunk, against
+    its oracle replicate_stream."""
+
+    @staticmethod
+    def draws(stream):
+        # gen_*'s order (normals, then uniforms), leaving Philox's buffer part
+        # used, then an odd number of 32-bit draws, leaving a half word
+        return [stream.standard_normal(3), stream.random(5), stream.random(3, dtype=np.float32)]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("n, m", [(3, 2), (10, 8), (2**32 + 3, 2**40 + 1)])
+    @pytest.mark.parametrize("r_start, r_stop", [(0, 4), (500, 530), (1020, 1030),
+                                                 (2**32 - 2, 2**32 + 2)])
+    def test_draws_what_replicate_stream_draws(self, seed, n, m, r_start, r_stop):
+        # 500..530 and 1020..1030 cross a block of keys; r grows a second word at 2**32
+        r = r_start
+        for stream in datagen._chunk_streams(seed, n, m, r_start, r_stop):
+            ref = replicate_stream(seed, n, m, r)
+            assert repr(stream.bit_generator.state) == repr(ref.bit_generator.state), r
+            for got, expected in zip(self.draws(stream), self.draws(ref)):
+                assert got.tobytes() == expected.tobytes(), r
+            r += 1
+        assert r == r_stop
+
+    def test_one_generator_is_re_keyed(self):
+        # each yielded stream is valid only until the next one is drawn
+        streams = list(datagen._chunk_streams(4, 3, 2, 510, 515))
+        assert len(streams) == 5 and all(s is streams[0] for s in streams)
+        assert list(datagen._chunk_streams(4, 3, 2, 7, 7)) == []
+
+
 class TestDesignShape:
     @pytest.mark.parametrize("n,m", [(3, 2), (2, 1), (7, 5)])
     def test_arm_balance_per_line(self, n, m):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xenopower import engine, frailty
+from xenopower import datagen, engine, frailty
 from xenopower.datagen import SimulatedDataset, gen_anova, gen_frailty, replicate_stream
 from xenopower.datasets import pilot_censored
 from xenopower.elicit import elicit_frailty_from_pilot
@@ -246,7 +246,8 @@ class TestReplicatePipeline:
         replace(CENSORED_FRAILTY, ct=4.0),
     ], ids=["median", "pilot", "null", "ct4"])
     def test_stacked_frailty_grid_equals_the_loop(self, monkeypatch, model):
-        # sim = 40 splits each cell into chunks of 32 and 8
+        # at chunks of 32, sim = 40 splits each cell into a full and a
+        # partial chunk; at the default size a cell is one chunk
         def outcome(n, m):
             grid = DesignGrid(n_values=(n,), m_values=(m,), sim=40, alpha=0.05, seed=79)
             try:
@@ -264,11 +265,29 @@ class TestReplicatePipeline:
 
         simulate = engine._simulate
         monkeypatch.setattr(engine, "_simulate", spy)
+        default = outcome(3, 2)
+        assert stacks == [(40, 12)]
+        stacks.clear()
+        monkeypatch.setattr(engine, "_BLOCK", 32)
         stacked = [outcome(n, m) for n, m in cells]
         assert stacks == [(32, 4), (8, 4), (32, 12), (8, 12), (32, 160), (8, 160)]
+        assert stacked[1] == default
         monkeypatch.setattr(engine, "fit_frailty", lambda data: fit_frailty(data))
         assert [outcome(n, m) for n, m in cells] == stacked
         assert len(stacks) == 6  # the loop never stacks
+
+    @pytest.mark.parametrize("model", [ANOVA_PILOT, CENSORED_FRAILTY], ids=["anova", "frailty"])
+    def test_default_chunk_keys_no_stream_per_replicate(self, monkeypatch, model):
+        # an untraced chunk re-keys one generator; replicate_stream builds a
+        # _Keyed seed sequence for each replicate it keys
+        def unkeyed(*args):
+            raise AssertionError("a chunk keyed a stream per replicate")
+
+        monkeypatch.setattr(datagen, "_Keyed", unkeyed)
+        monkeypatch.setattr(datagen, "replicate_stream", unkeyed)
+        # 500..529 cross a block of keys
+        rejected, converged, _ = engine._run_chunk((model, 3, 2, 0.05, 77, 500, 530))
+        assert rejected.shape == (30,) and converged.all()
 
     def test_default_frailty_chunk_never_fits_one_replicate(self, monkeypatch):
         # every fit_frailty call lays its dataset out as one row; the stack lays out none
@@ -370,7 +389,8 @@ class TestConvergenceHandling:
                 return future
 
         monkeypatch.setattr("xenopower.engine.ProcessPoolExecutor", CountingPool)
-        grid = DesignGrid(n_values=(2, 3, 4, 5, 6), m_values=(2,), sim=64, alpha=0.05, seed=5)
+        # sim = 1024 makes two chunks of 512 per cell
+        grid = DesignGrid(n_values=(2, 3, 4, 5, 6), m_values=(2,), sim=1024, alpha=0.05, seed=5)
         model = FrailtyParams(lam=1e-6, nu=1.0, beta=0.0, tau2=0.0, censor=True, ct=1.0)
         with pytest.raises(EngineError, match=r"cell \(n=2, m=2\)"):
             run_power_grid(PowerJob(grid=grid, model=model, worker_count=2))
@@ -484,16 +504,18 @@ class TestWorkUnits:
         monkeypatch.setattr("xenopower.engine.ProcessPoolExecutor", CountingPool)
         return chunks
 
+    # sim=40 is a multiple of none of the sizes but 1, so cells end in
+    # partial chunks; at sim=530 the size-7 chunk 511..518 takes its keys
+    # from two blocks
+    @pytest.mark.parametrize("sim, sizes", [(40, (1, 7, 32, 512)), (530, (7,))],
+                             ids=["partial", "crossing"])
     @pytest.mark.parametrize("make_job", [small_anova_job, small_frailty_job],
                              ids=["anova", "censored-frailty"])
-    def test_table_independent_of_chunk_size(self, monkeypatch, make_job):
-        # sim=40 is a multiple of none of the sizes but 1, so cells end in
-        # partial chunks
-        expected = run_power_grid(make_job(sim=40))
-        for size in (1, 7, 32, 512):
-            monkeypatch.setattr("xenopower.engine._CHUNK",
-                                {AnovaParams: size, FrailtyParams: size})
-            assert run_power_grid(make_job(sim=40)) == expected
+    def test_table_independent_of_chunk_size(self, monkeypatch, make_job, sim, sizes):
+        expected = run_power_grid(make_job(sim=sim))
+        for size in sizes:
+            monkeypatch.setattr(engine, "_BLOCK", size)
+            assert run_power_grid(make_job(sim=sim)) == expected
 
     def test_anova_cell_is_one_chunk(self, submitted):
         grid = DesignGrid(n_values=(3,), m_values=(2, 3, 4), sim=96, alpha=0.05, seed=3)

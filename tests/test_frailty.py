@@ -1007,7 +1007,7 @@ class TestStackedFits:
     def test_a_lone_fit_equals_its_chunk_row(self):
         # fit_frailty lays its dataset out as one row of a stack, which for
         # generated data needs no padding: it equals the dataset's row of a
-        # default 32-row chunk bit for bit
+        # 32-row chunk bit for bit
         n_converged = 0
         for name, params in STACK_MODELS.items():
             for n, m in STACK_CELLS:
