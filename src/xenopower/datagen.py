@@ -6,11 +6,11 @@ first, in line order, then the per-animal draws, so the content of a
 dataset never depends on how replicates are scheduled across workers.
 
 Each replicate's stream is a Philox generator keyed by numpy's SeedSequence
-hash of (seed, n, m, r). The hash runs over 512 replicates at a time as
-uint32 array arithmetic and gives the keys ``SeedSequence([seed, n, m, r])``
-gives, which stays the test oracle. A chunk of replicates re-keys one
-Philox generator from those keys instead of building a generator per
-replicate; replicate_stream stays the per-replicate entry and its oracle.
+hash of (seed, n, m, r): replicate_stream, the per-replicate entry, is
+``Philox(SeedSequence([seed, n, m, r]))`` itself. A chunk of replicates
+instead re-keys one Philox generator from keys hashed 512 replicates at a
+time as uint32 array arithmetic, which are the keys that SeedSequence
+gives.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from ._data import Design, SimulatedDataset, _build_design, _carrying
 from .types import AnovaParams, FrailtyParams
@@ -37,32 +36,25 @@ _POOL = 4
 # replicates per block of keys, and per chunk of either model. It divides
 # 2**32, so the replicates of a block differ only in the lowest word of r.
 _BLOCK = 512
-# Philox's default counter, as the array that Philox turns an int into
-# (about 1 us cheaper to pass than the int 0)
-_COUNTER = np.zeros(4, dtype=np.uint64)
-_COUNTER.flags.writeable = False
 # what a chunk's Philox is seeded with before its first re-keying; built
 # once, so a run builds no SeedSequence
 _UNKEYED = np.random.SeedSequence(0)
 
 
 def replicate_stream(seed: int, n: int, m: int, r: int) -> np.random.Generator:
-    """Derive the random stream for replicate r of cell (n, m).
+    """Derive the random stream for replicate r of cell (n, m):
+    ``Philox(SeedSequence([seed, n, m, r]))``.
 
     The (seed, n, m, r) tuple is hashed by numpy's SeedSequence algorithm
     into a key for the counter-based Philox generator, so any replicate can
     be regenerated in isolation and the stream never depends on execution
-    order. The draws are those of ``Philox(SeedSequence([seed, n, m, r]))``;
-    the keys are hashed for 512 replicates at a time, and the generator's
-    ``seed_seq`` holds its key and spawns as that SeedSequence does; like
-    it, a coordinate that is not an integer raises TypeError.
+    order. Only a chunk's streams (_chunk_streams) hash their keys 512
+    replicates at a time. A coordinate that is not an integer raises
+    TypeError (int() would truncate 3.7 to 3), and a negative one
+    ValueError.
     """
-    entropy = [operator.index(seed), operator.index(n), operator.index(m), operator.index(r)]
-    if min(entropy) < 0:
-        raise ValueError("expected non-negative integer")
-    block, i = divmod(entropy[3], _BLOCK)
-    key = _block_keys(entropy[0], entropy[1], entropy[2], block)[i]
-    return np.random.Generator(np.random.Philox(_Keyed(key, entropy), counter=_COUNTER))
+    entropy = [operator.index(v) for v in (seed, n, m, r)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def _chunk_streams(seed: int, n: int, m: int, r_start: int,
@@ -92,31 +84,6 @@ def _chunk_streams(seed: int, n: int, m: int, r_start: int,
             yield stream
 
 
-class _Keyed(ISpawnableSeedSequence):
-    """SeedSequence(entropy) with its Philox key already hashed. It builds
-    the SeedSequence only to spawn or for another state request, and keeps
-    it, so its children counter carries over between spawns."""
-
-    def __init__(self, key: np.ndarray, entropy: list):
-        self.key = key
-        self.entropy = entropy
-        self._seq = None
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # Philox asks for 2 uint64 words, by this very dtype object
-        if n_words == 2 and dtype is np.uint64:
-            return self.key
-        return self._sequence().generate_state(n_words, dtype)
-
-    def spawn(self, n_children):
-        return self._sequence().spawn(n_children)
-
-    def _sequence(self) -> np.random.SeedSequence:
-        if self._seq is None:
-            self._seq = np.random.SeedSequence(self.entropy)
-        return self._seq
-
-
 def _words(value: int) -> list:
     """The little-endian uint32 words SeedSequence makes of an int; one zero word for 0."""
     words = [value & _M32]
@@ -143,10 +110,9 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-@lru_cache(maxsize=8)
 def _block_keys(seed: int, n: int, m: int, block: int) -> np.ndarray:
     """The (512, 2) uint64 Philox keys SeedSequence([seed, n, m, r]) hashes
-    for r = 512*block .. 512*block + 511, read-only.
+    for r = 512*block .. 512*block + 511.
 
     Words before r's lowest word are mixed as Python ints masked to 32
     bits; from that word on the pool is a uint32 array over the block, on
@@ -178,9 +144,7 @@ def _block_keys(seed: int, n: int, m: int, block: int) -> np.ndarray:
         word, const = _hashmix(word, const, _MULT_B)
         state.append(word.astype(np.uint64))
     shift = np.uint64(32)
-    keys = np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
-    keys.flags.writeable = False
-    return keys
+    return np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
 
 
 # few: a cell's replicates run back to back

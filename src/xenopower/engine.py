@@ -112,7 +112,6 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     A fit that raises or does not converge counts as neither converged nor
     rejected."""
     model, n, m, alpha, seed, r_start, r_stop = task
-    is_frailty = isinstance(model, FrailtyParams)
     # The traced benchmark and the layer tests rebind these names to see one
     # call per replicate, so a rebound name selects the per-replicate loop.
     # Chunk-level spans (ROADMAP item 1) retire this comparison.
@@ -120,12 +119,12 @@ def _run_chunk(task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         design = _design_arrays(n, m)[3]
         streams = _chunk_streams(seed, n, m, r_start, r_stop)
         y, status, censoring = _simulate(model, design, streams, r_stop - r_start)
-        if is_frailty:
-            rejected, converged = _stacked_tests(y, status, design, alpha)
-        else:
-            rejected, converged, _t = _balanced_tests(y, design, alpha)
+        # both deciders map (y, status, design, alpha) to (rejected, converged, |t|)
+        decide = _stacked_tests if isinstance(model, FrailtyParams) else _balanced_tests
+        rejected, converged, _t = decide(y, status, design, alpha)
         return rejected, converged, censoring
     # looked up at call time so the layer functions can be swapped on the module
+    is_frailty = isinstance(model, FrailtyParams)
     if is_frailty:
         gen, fit, test = gen_frailty, fit_frailty, wald_test_frailty
     else:

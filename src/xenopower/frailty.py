@@ -194,14 +194,17 @@ def wald_test_frailty(fit: FrailtyFit, alpha: float) -> bool:
 
 
 def _stacked_tests(y: np.ndarray, status, design: Design, alpha: float):
-    """(rejected, converged) of fit_frailty and wald_test_frailty for each
-    row of a stack that _stacked_fits fits (status None: all events); no
-    p-value is formed."""
+    """(rejected, converged, t) of fit_frailty and wald_test_frailty for
+    each row of a stack that _stacked_fits fits (status None: all events).
+    t = |beta_hat|/se, nan where a row does not converge, and a row is
+    rejected where t exceeds the normal critical value; no p-value is
+    formed."""
     if status is None:
         status = np.ones(y.shape)
     converged, beta, se = _stacked_fits(y, status, design)[:3]
     with np.errstate(invalid="ignore"):  # the nan estimates of non-converged rows
-        return converged & (np.abs(beta / se) > _t_crit(math.inf, alpha)), converged
+        t = np.where(converged, np.abs(beta / se), np.nan)
+        return t > _t_crit(math.inf, alpha), converged, t
 
 
 # Stacked fits: datasets of one design, one per row, fitted together. Every

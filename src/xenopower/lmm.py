@@ -148,10 +148,12 @@ def _balanced_rows(Sy, Syy, Q, D, N: int, k: int, J):
     return theta, sigma2, 4.0 * D / N, var_beta, converged
 
 
-def _balanced_tests(y: np.ndarray, design: Design, alpha: float):
+def _balanced_tests(y: np.ndarray, status, design: Design, alpha: float):
     """(rejected, converged, t) of fit_lmm and wald_test_lmm for each row
     of y, an (R, N) stack of outcomes on one balanced design whose lines
-    are contiguous blocks of J animals (as datagen lays them out).
+    are contiguous blocks of J animals (as datagen lays them out); status
+    is None, as every outcome is an event, and is taken so that both
+    models' stacks are decided through one signature.
     t = |beta_hat|/se, nan where a row does not converge, and a row is
     rejected where t exceeds the design's one critical value, as
     wald_test_lmm decides; no p-value is formed. A row that as_arrays would

@@ -51,11 +51,18 @@ class TestReproducibility:
         # Python ints, at both ends of a block and where r grows a second word
         for n, m in ((1, 1), (6, 5), (10, 8)):
             for r in (0, 1, 31, 32, 499, 511, 512, 1023, 2**32 - 1, 2**32, 2**32 + 511):
-                got = replicate_stream(seed, n, m, r).bit_generator
+                [stream] = datagen._chunk_streams(seed, n, m, r, r + 1)
+                got = stream.bit_generator
                 ref = np.random.Philox(np.random.SeedSequence([seed, n, m, r]))
                 # the repr spells out every array of the state in full
                 assert repr(got.state) == repr(ref.state)
                 assert np.array_equal(got.random_raw(8), ref.random_raw(8))
+
+    def test_seed_seq_is_the_oracles(self):
+        got = replicate_stream(3, 6, 5, 700).bit_generator.seed_seq
+        ref = np.random.SeedSequence([3, 6, 5, 700])
+        assert repr(got) == repr(ref)
+        assert (got.spawn_key, got.n_children_spawned) == (ref.spawn_key, ref.n_children_spawned)
 
     def test_seed_seq_spawns_the_oracles_children(self):
         # on seed_seq, since Generator.spawn needs numpy >= 1.25
@@ -101,18 +108,28 @@ class TestReproducibility:
         a.random(100)  # drawing from a moves b by nothing
         assert np.array_equal(b.random(8), b_first)
         assert not np.array_equal(replicate_stream(4, 3, 2, 10).random(8), b_first)
-        key = datagen._block_keys(4, 3, 2, 0)[10]
-        with pytest.raises(ValueError, match="read-only"):
-            key[0] = 0
 
     def test_grid_run_builds_no_seed_sequence(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("SeedSequence built")
 
+        # a bit generator builds the SeedSequence of an int seed through its
+        # own reference, which the refusal does not see, so every Philox
+        # built must also be seeded from the one unkeyed SeedSequence
+        def spy(*args, **kwargs):
+            seeds.append((args, kwargs))
+            return philox(*args, **kwargs)
+
+        seeds = []
+        philox = datagen.np.random.Philox
         monkeypatch.setattr(datagen.np.random, "SeedSequence", refuse)
-        grid = DesignGrid(n_values=(3,), m_values=(2,), sim=20, seed=11)
-        row = run_power_grid(PowerJob(grid=grid, model=anova_params(beta=1.0), worker_count=1)).rows[0]
-        assert row.convergence > 0
+        monkeypatch.setattr(datagen.np.random, "Philox", spy)
+        grid = DesignGrid(n_values=(3, 4), m_values=(2,), sim=600, seed=11)
+        rows = run_power_grid(PowerJob(grid=grid, model=anova_params(beta=1.0), worker_count=1)).rows
+        assert all(row.convergence > 0 for row in rows)
+        assert len(seeds) == 4  # one per chunk
+        assert all(len(args) == 1 and args[0] is datagen._UNKEYED and not kwargs
+                   for args, kwargs in seeds)
 
     def test_replicates_differ(self):
         p = anova_params()

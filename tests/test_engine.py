@@ -279,11 +279,11 @@ class TestReplicatePipeline:
     @pytest.mark.parametrize("model", [ANOVA_PILOT, CENSORED_FRAILTY], ids=["anova", "frailty"])
     def test_default_chunk_keys_no_stream_per_replicate(self, monkeypatch, model):
         # an untraced chunk re-keys one generator; replicate_stream builds a
-        # _Keyed seed sequence for each replicate it keys
+        # SeedSequence for each replicate it keys
         def unkeyed(*args):
             raise AssertionError("a chunk keyed a stream per replicate")
 
-        monkeypatch.setattr(datagen, "_Keyed", unkeyed)
+        monkeypatch.setattr(datagen.np.random, "SeedSequence", unkeyed)
         monkeypatch.setattr(datagen, "replicate_stream", unkeyed)
         # 500..529 cross a block of keys
         rejected, converged, _ = engine._run_chunk((model, 3, 2, 0.05, 77, 500, 530))

@@ -15,7 +15,7 @@ from scipy.integrate import trapezoid
 from scipy.optimize import minimize
 from scipy.special import ndtr, wrightomega
 
-from xenopower import engine, frailty
+from xenopower import datagen, engine, frailty
 from xenopower._data import as_arrays
 from xenopower.datagen import SimulatedDataset, gen_frailty, replicate_stream
 from xenopower.datasets import pilot_censored
@@ -1022,6 +1022,33 @@ class TestStackedFits:
                     assert lone.tobytes() == rows[r].tobytes(), (name, n, m, r)
                     n_converged += fit.converged
         assert n_converged >= 560
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_stacked_tests_are_the_lone_fits_tests(self, alpha):
+        # t is |beta_hat/se| of the row's lone fit_frailty, nan where it does
+        # not converge; row 1 has an outcome of 0, which as_arrays refuses
+        n_converged = 0
+        for name in ("median", "pilot", "uncensored"):
+            for n, m in [(2, 1), (3, 2), (6, 5)]:
+                y, status, design, _ = engine_stack(STACK_MODELS[name], n, m, 11, 0, 32)
+                y[1, 0] = 0.0
+                rejected, converged, t = frailty._stacked_tests(y, status, design, alpha)
+                line, tx, events = datagen._design_arrays(n, m)[:3]
+                for r in range(32):
+                    data = SimulatedDataset(line_index=line, tx=tx, y=y[r],
+                                            status=events if status is None else status[r])
+                    try:
+                        fit = fit_frailty(data)
+                    except ValueError:
+                        fit = frailty._NOT_CONVERGED
+                    assert converged[r] == fit.converged, (name, n, m, r)
+                    if fit.converged:
+                        assert t[r] == abs(fit.beta_hat / fit.se_beta), (name, n, m, r)
+                        assert rejected[r] == wald_test_frailty(fit, alpha), (name, n, m, r)
+                    else:
+                        assert math.isnan(t[r]) and not rejected[r], (name, n, m, r)
+                    n_converged += fit.converged
+        assert n_converged >= 250
 
 
 def unbalanced_datasets():

@@ -309,7 +309,7 @@ def stacked_tests(n, m, rows, alpha):
     y = np.array(rows, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rejected, converged, t = lmm._balanced_tests(y, design, alpha)
+        rejected, converged, t = lmm._balanced_tests(y, None, design, alpha)
     p = np.array([lmm._t_tail(y.shape[1] - design.k - 1, float(row_t)) for row_t in t])
     return ((rejected, converged, p),
             [SimulatedDataset(line_index=line, tx=tx, y=row, status=status) for row in y])
@@ -441,7 +441,7 @@ class TestStudentT:
                 z = np.random.default_rng([seed, n, m]).standard_normal((8192, n + 2 * n * m))
                 y = datagen._anova_y(z, design, params)
                 for alpha in (0.01, 0.05):
-                    rejected, converged, t = lmm._balanced_tests(y, design, alpha)
+                    rejected, converged, t = lmm._balanced_tests(y, None, design, alpha)
                     want = converged & (2.0 * stdtr(df, -t) < alpha)
                     assert np.array_equal(rejected, want), (n, m, seed, alpha)
                 replicates += z.shape[0]
