@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence, Tuple
@@ -34,8 +33,6 @@ from .plot import render_power_plot
 from .types import AnovaParams, DesignGrid, ValidationError
 
 __all__ = ["main"]
-
-_ENV_THREADS = "XENOPOWER_THREADS"
 
 EXIT_FLAGS = 2
 EXIT_DATA = 3
@@ -71,7 +68,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.add_argument("--seed", type=int, default=12345, help="master seed")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker count (default: ${_ENV_THREADS} or all CPUs this process may use)")
+                   help="worker count (default: all CPUs this process may use)")
     p.add_argument("--target-power", type=float, default=0.8, dest="target_power",
                    help="power level for the minimal-design report")
     p.add_argument("--out-csv", metavar="PATH", help="write the power table as CSV")
@@ -113,18 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(pfd)
 
     return parser
-
-
-def _resolve_workers(args) -> object:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(_ENV_THREADS, "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"${_ENV_THREADS} must be an integer, got {env!r}") from None
-    return "auto"
 
 
 def _print_header(out, model, sim, alpha, seed, source: Optional[str]) -> None:
@@ -225,7 +210,6 @@ def _run(args) -> None:
         alpha=args.alpha,
         seed=args.seed,
     )
-    workers = _resolve_workers(args)
     source = getattr(args, "data", None)
     if args.command == "pow-anova":
         model = elicit_anova_from_medians(args.ctl_med, args.tx_med, args.icc, args.sigma2)
@@ -237,7 +221,7 @@ def _run(args) -> None:
     if getattr(args, "censor_time", None) is not None:
         model = dataclasses.replace(model, censor=True, ct=args.censor_time)
     job = PowerJob(grid=grid, model=model, target_power=args.target_power,
-                   worker_count=workers)
+                   worker_count="auto" if args.threads is None else args.threads)
     table = run_power_grid(job, progress=_progress_printer())
     frontier = minimal_designs(table, args.target_power)
 

@@ -14,16 +14,20 @@ is one stack: datagen._simulate draws each replicate's row from its own
 stream, one Philox generator re-keyed per replicate (gen_anova and
 gen_frailty are its one-row case, so a row is their dataset bit for
 bit), then lmm._balanced_tests or frailty._stacked_tests decides the
-rows at once as fit_* and wald_test_* decide a lone dataset: a row is
-rejected when |beta_hat|/se exceeds the cell's one critical value
-(Student-t, or normal for frailty), with no p-value formed. Workers get
-at most two chunks each ahead of the one being read. A chunk can be a
-whole cell, so a run that ends early may leave up to two cells' worth of
-chunks per worker behind. A chunk loops over its replicates through
-gen_*, fit_* and wald_test_* only while one of those names, or
-replicate_stream, is rebound here: the traced benchmark and the layer
-tests do that to see each call, which a stack never makes (until chunk
-spans, ROADMAP item 1).
+rows at once by the rules fit_* and wald_test_* apply to a lone dataset:
+a row is rejected when |beta_hat|/se exceeds the cell's one critical
+value (Student-t, or normal for frailty), with no p-value formed. A lone
+fit_frailty gives its chunk row bit for bit. A lone fit_lmm, the
+stack's reference, forms its sums its own way, so its |t| can differ
+from the row's in the last bits (up to 3.1e-11 relative in the smallest
+cell); the decisions differ only where |t| is that close to the
+critical value. Workers get at most two chunks each ahead of the one
+being read. A chunk can be a whole cell, so a run that ends early may
+leave up to two cells' worth of chunks per worker behind. A chunk loops
+over its replicates through gen_*, fit_* and wald_test_* only while one
+of those names, or replicate_stream, is rebound here: the traced
+benchmark and the layer tests do that to see each call, which a stack
+never makes (until chunk spans, ROADMAP item 1).
 
 Power is the rejection fraction among converged replicates, with the
 convergence rate reported alongside; the average censoring rate is a

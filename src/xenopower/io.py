@@ -115,12 +115,14 @@ def read_power_csv(path) -> List[PowerRow]:
     that is not such a table raises ValidationError naming it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        found = reader.fieldnames or ()
+        columns = _csv_columns("censoring_pct" in found)
+        for header, _, _ in columns:
+            if header not in found:
+                raise ValidationError(f"power CSV file {path} has no column {header!r}")
         try:
-            columns = _csv_columns("censoring_pct" in (reader.fieldnames or ()))
             return [PowerRow(**{name: kind(rec[header]) for header, name, kind in columns})
                     for rec in reader]
-        except KeyError as exc:
-            raise ValidationError(f"power CSV file {path} has no column {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"power CSV file {path} is malformed: {exc}") from None
 

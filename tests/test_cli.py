@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -8,6 +9,7 @@ import pytest
 
 from xenopower.cli import _build_parser, main
 from xenopower.datasets import pilot_path
+from xenopower.engine import run_power_grid
 from xenopower.io import read_power_csv, read_power_json
 
 
@@ -316,28 +318,26 @@ class TestOutputs:
                             "  n=4, m=4 (N=32)\n  n=5, m=3 (N=30)\n")
 
 
-class TestThreadsEnv:
-    def test_env_var_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("XENOPOWER_THREADS", "1")
-        code, out, _ = run_cli(
-            capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2",
-            "--n", "3:3", "--m", "1:1", "--sim", "4", "--seed", "1",
-        )
-        assert code == 0
+class TestWorkersAndProgress:
+    @pytest.mark.parametrize("flags, workers", [([], "auto"), (["--threads", "1"], 1)],
+                             ids=["default", "threads"])
+    def test_worker_count_reaches_the_job(self, capsys, monkeypatch, flags, workers):
+        jobs = []
 
-    def test_bad_env_var_is_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("XENOPOWER_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2",
-            "--n", "3:3", "--m", "1:1", "--sim", "4", "--seed", "1",
-        )
-        assert code == 2
-        assert "XENOPOWER_THREADS" in err
+        def spy(job, progress=None):
+            jobs.append(job)
+            return run_power_grid(job, progress)  # one chunk, so it runs in-process
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("XENOPOWER_THREADS", "many")  # would fail if consulted
-        code, _, _ = run_cli(
-            capsys, "pow-anova", "--ctl-med", "2.4", "--tx-med", "7.2",
-            "--n", "3:3", "--m", "1:1", "--sim", "4", "--seed", "1", "--threads", "1",
-        )
+        monkeypatch.setattr("xenopower.cli.run_power_grid", spy)
+        code, _, _ = run_cli(capsys, *MEDIANS, "--n", "3", "--m", "1", "--sim", "4", *flags)
         assert code == 0
+        assert [job.worker_count for job in jobs] == [workers]
+
+    @pytest.mark.parametrize("tty, expected", [(True, "\r1/2 cells\r2/2 cells\n"), (False, "")],
+                             ids=["tty", "no-tty"])
+    def test_progress_counts_cells_on_a_terminal_only(self, capsys, monkeypatch, tty, expected):
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: tty)
+        code, _, err = run_cli(capsys, *MEDIANS, "--n", "3:4", "--m", "2", "--sim", "8",
+                               "--threads", "1")
+        assert code == 0
+        assert err == expected

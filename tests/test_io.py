@@ -37,6 +37,10 @@ class TestReadPilotCsv:
         censored_rows = [k for k, r in enumerate(pilot_survival.rows, start=1) if r.status == 0]
         assert censored_rows == [2, 6, 18]
 
+    def test_unknown_bundled_pilot_name_is_refused(self):
+        with pytest.raises(ValueError, match="unknown pilot dataset 'lognormal'"):
+            pilot_path("lognormal")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -154,12 +158,19 @@ class TestPowerCsv:
         ("n,m,N,power_pct,convergence_pct\n2.5,1,5,50.0,100.0\n", "is malformed: invalid literal"),
         ("n,m,power_pct,convergence_pct\n3,2,50.0,100.0\n", "has no column 'N'"),
         ("n,m,N,power_pct,convergence_pct\n3,2,12\n", "is malformed"),
-    ], ids=["n=2.5", "no N column", "short row"])
+        ("", "has no column 'n'"),
+        ("foo,bar\n", "has no column 'n'"),
+    ], ids=["n=2.5", "no N column", "short row", "empty", "foo,bar"])
     def test_malformed_csv_is_a_validation_error_naming_the_file(self, tmp_path, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text)
         with pytest.raises(ValidationError, match=f"power CSV file {re.escape(str(path))} {message}"):
             read_power_csv(path)
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("n,m,N,power_pct,convergence_pct\n")
+        assert read_power_csv(path) == []
 
 
 # a valid row's fields with one replaced, as a tampered file would hold them
