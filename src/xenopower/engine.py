@@ -48,7 +48,7 @@ import numpy as np
 
 from .datagen import (_BLOCK, _chunk_streams, _design_arrays, _simulate, gen_anova, gen_frailty,
                       replicate_stream)
-from .frailty import _special, _stacked_tests, fit_frailty, wald_test_frailty
+from .frailty import _stacked_tests, fit_frailty, wald_test_frailty
 from .lmm import _balanced_tests, fit_lmm, wald_test_lmm
 from .types import (
     AnovaParams,
@@ -94,9 +94,6 @@ class PowerJob:
                 raise ValidationError(
                     f"worker_count must be a positive integer or 'auto', got {self.worker_count!r}"
                 )
-        if isinstance(self.model, FrailtyParams):
-            # load the fit's scipy.special here, so fork-started workers share it
-            _special()
 
 
 def _layers() -> tuple:

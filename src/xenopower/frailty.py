@@ -9,8 +9,10 @@ densities/survivals over the frailty. Each line integral is evaluated by
 adaptive Gauss-Hermite quadrature (Pinheiro & Chao, JCGS 2006): the nodes
 are recentered at the integrand's mode and rescaled by the curvature
 there, and the sum is accumulated in log space. The mode has a closed form
-in the Wright omega function (Lawrence, Corless & Jeffrey, ACM TOMS 2012,
-Algorithm 917), so no search runs inside an evaluation.
+in the Wright omega function, which _wrightomega evaluates by the real
+branch of Lawrence, Corless & Jeffrey's Algorithm 917 (ACM TOMS 2012) in
+a fixed number of numpy operations, so no search runs inside an
+evaluation and the module needs numpy alone.
 
 The fit runs over (log lam, log nu, beta, log tau) in two stages. The
 no-frailty model (tau = 0) is solved exactly: for fixed nu each arm's
@@ -41,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -71,6 +72,7 @@ _MAX_STEP = 2.0
 _DECREMENT_TOL = 1e-10
 _NEAR_DECREMENT = 1e-6
 _ARMIJO = 1e-4
+_TWO_STEP_TOL = 72.0 * sys.float_info.epsilon
 # the direction in (log lam, log nu, beta, log tau) whose Newton decrement is var(beta_hat)
 _UNIT_BETA = np.array([0.0, 0.0, 1.0, 0.0])
 
@@ -104,14 +106,56 @@ def _hermite_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     return x, logw
 
 
-@cache
-def _special():
-    """scipy.special, for wrightomega, imported at the first frailty
-    evaluation rather than with the package (about half of its import
-    time); a frailty PowerJob loads it when built, for forked workers."""
-    import scipy.special
+def _fsc_step(x: np.ndarray, w: np.ndarray):
+    """One Fritsch-Shafer-Crowley step for w + log w = x, in the order of
+    Algorithm 917's arithmetic: (the new w, the residual r, w + 1)."""
+    r = x - w
+    r -= np.log(w)
+    wp1 = w + 1.0
+    a = 2.0 / 3.0 * r
+    a += wp1
+    a *= 2.0 * wp1
+    e = r / wp1
+    e *= a - r
+    e /= a - 2.0 * r
+    e += 1.0
+    return w * e, r, wp1
 
-    return scipy.special
+
+def _wrightomega(x: np.ndarray) -> np.ndarray:
+    """The Wright omega function of a real array, the real branch of
+    Lawrence, Corless & Jeffrey's Algorithm 917 (which scipy.special
+    implements too), in a fixed number of array operations. On [-50, 1e20]
+    it starts from exp(x) below -2, exp(2(x-1)/3) below 1 and
+    x - log x + log x/x above, takes one FSC step and a second only where
+    the algorithm's condition-number test asks for it; below -50 it is
+    exp(x), above 1e20 x, so -inf gives 0, inf gives inf and nan gives nan.
+    Each branch's argument is clipped into its domain first, so no input
+    raises a numpy warning."""
+    # np.clip, as two ufuncs: its Python wrapper costs more than the pair
+    # at the few hundred entries of a stacked evaluation
+    c = np.minimum(np.maximum(x, -50.0), 1e20)
+    lo = np.minimum(c, 1.0)
+    w = lo - 1.0
+    w *= 2.0
+    w /= 3.0
+    np.copyto(w, lo, where=lo < -2.0)
+    np.exp(w, out=w)
+    hi = np.maximum(c, 1.0)
+    lg = np.log(hi)
+    big = hi - lg
+    big += lg / hi
+    np.copyto(w, big, where=c >= 1.0)
+    w, r, wp1 = _fsc_step(c, w)
+    r *= r
+    wp1 *= wp1
+    # (2w^2 - 8w - 1) r^4 >= 72 eps (w + 1)^6, with the squares above
+    two = np.abs((2.0 * w * w - 8.0 * w - 1.0) * (r * r)) >= _TWO_STEP_TOL * (wp1 * wp1 * wp1)
+    if np.count_nonzero(two):
+        np.copyto(w, _fsc_step(c, w)[0], where=two)
+    if np.count_nonzero(c != x):
+        w = np.where(x < -50.0, np.exp(np.minimum(x, -50.0)), np.where(x > 1e20, x, w))
+    return w
 
 
 # the rule the fit maximises, and the finer rule that checks it at the optimum
@@ -324,7 +368,7 @@ def _stacked_quadrature(d: np.ndarray, a_cum: np.ndarray, logtau: np.ndarray, x:
     """
     tau2 = np.exp(2.0 * logtau)[:, None]
     dt = d * tau2
-    omega = _special().wrightomega(np.log(a_cum) + np.log(tau2) + dt)
+    omega = _wrightomega(np.log(a_cum) + np.log(tau2) + dt)
     root = np.sqrt(1.0 + omega)
     nodes = (dt - omega)[..., None] + (np.sqrt(2.0 * tau2) / root)[..., None] * x
     ea = np.exp(nodes)

@@ -16,8 +16,8 @@ to four sums of log y (sum log y, sum (log y)^2, the sum of squared line
 totals and the arm contrast), for one dataset in fit_lmm or for a stack
 of simulated datasets at once in the engine. Unbalanced data, such as a
 pilot with a lost animal, get the general per-line profile and a bounded
-one-dimensional search over log theta, with the boundary theta = 0
-always evaluated as a candidate; that path is also the reference the
+one-dimensional search over log theta (Brent's method, _bounded_min),
+with the boundary theta = 0 always evaluated as a candidate; that path is also the reference the
 balanced rule is tested against. Both paths read the design record and
 one container of sums of log y. Either way tau2_hat = 0 is a legal
 estimate.
@@ -45,6 +45,8 @@ _LOG_THETA_LO = math.log(_THETA_LO)
 _LOG_THETA_HI = math.log(_THETA_HI)
 _XATOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,75 @@ def _balanced_tests(y: np.ndarray, status, design: Design, alpha: float):
     return t > _t_crit(N - k - 1, alpha), converged, t
 
 
+def _sign(v: float) -> float:
+    """fminbound's np.sign(v) + (v == 0): 1 at zero."""
+    return -1.0 if v < 0.0 else 1.0
+
+
+def _bounded_min(f, a: float, b: float, xatol: float, max_evals: int = 500):
+    """Minimise f over [a, b] by Brent's method (golden sections and
+    parabolic steps), as scipy's fminbound does, step for step, so the
+    search visits the same points; returns (x, f(x), ok), where ok is False
+    when max_evals evaluations ran out before x was within xatol."""
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    evals = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through the best three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= max_evals:
+            return xf, fx, False
+    return xf, fx, True
+
+
 def fit_lmm(data) -> LmmFit:
     """Fit the random-intercept model to a dataset by REML and compute the
     two-sided test of zero treatment effect.
@@ -202,18 +273,11 @@ def fit_lmm(data) -> LmmFit:
                 + k * math.log1p(theta * J) + math.log(N * N / (4.0 * (1.0 + theta * J))))
         beta0 = st.Sy / N - beta / 2.0
     else:
-        # only unbalanced data (a pilot with a lost animal) pay for this import
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda lt: _profile(math.exp(lt), st)[0],
-            bounds=(_LOG_THETA_LO, _LOG_THETA_HI),
-            method="bounded",
-            options={"xatol": _XATOL},
-        )
-        if not res.success:
+        log_theta, value, ok = _bounded_min(lambda lt: _profile(math.exp(lt), st)[0],
+                                            _LOG_THETA_LO, _LOG_THETA_HI, _XATOL)
+        if not ok:
             return _NOT_CONVERGED
-        theta = math.exp(res.x) if res.fun < _profile(0.0, st)[0] else 0.0
+        theta = math.exp(log_theta) if value < _profile(0.0, st)[0] else 0.0
         if theta <= _THETA_LO:
             theta = 0.0
         neg2, beta0, beta, sigma2, var_beta = _profile(theta, st)

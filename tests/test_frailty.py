@@ -6,7 +6,6 @@ import json
 import math
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -432,12 +431,55 @@ class TestClosedFormModes:
         mode, _, _ = quadrature_nodes(np.array([1.0, 2.0]), np.array([0.5, math.nan]), 0.1)
         assert math.isfinite(mode[0]) and math.isnan(mode[1])
 
-    def test_wrightomega_is_real_float64(self):
-        # the closed form needs the real ufunc loop (scipy >= 1.10)
-        out = wrightomega(np.array([-math.inf, -40.0, 0.0, 40.0, math.nan]))
-        assert out.dtype == np.float64
-        assert out[0] == 0.0 and out[2] == pytest.approx(0.5671432904097838, rel=1e-15)
-        assert math.isnan(out[-1])
+
+
+class TestWrightOmega:
+    """frailty._wrightomega against scipy.special.wrightomega, the oracle."""
+
+    # the kernel's branch points, and x < -745, where exp(x) underflows to 0
+    EDGES = [-1e5, -800.0, -746.0, -745.0, -50.0, -2.0, 1.0, 1e20, 1e25]
+
+    @classmethod
+    def wide_grid(cls):
+        rng = np.random.default_rng(35)
+        near = [np.nextafter(e, side) for e in cls.EDGES for side in (-np.inf, np.inf)]
+        return np.concatenate([
+            rng.uniform(-800.0, 800.0, 100_000), rng.uniform(-60.0, 10.0, 100_000),
+            -np.geomspace(1.0, 1e25, 20_000), np.geomspace(1e-300, 1e25, 20_000),
+            cls.EDGES, near])
+
+    def test_matches_scipy(self):
+        x = self.wide_grid()
+        got, want = frailty._wrightomega(x), wrightomega(x)
+        assert np.isfinite(want).all() and want.min() == 0.0
+        # a subnormal omega, at x in about (-745, -708), holds fewer digits:
+        # there the two exp's may differ by the smallest subnormal
+        assert np.all(np.abs(got - want) <= 4e-15 * want + np.nextafter(0.0, 1.0))
+
+    def test_special_values_are_scipys(self):
+        x = np.array([-math.inf, math.inf, math.nan, 1e308, -1e308, 0.0])
+        got = frailty._wrightomega(x)
+        assert np.array_equal(got, wrightomega(x), equal_nan=True)
+        assert got[0] == 0.0 and got[1] == math.inf and math.isnan(got[2])
+        assert got[3] == 1e308 and got[4] == 0.0
+        assert got[5] == pytest.approx(0.5671432904097838, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_keeps_shape_and_float64(self, scale):
+        # scale 1 stays inside [-50, 1e20]; scale 1e3 also reaches the exp(x) tail
+        x = scale * np.linspace(-20.0, 20.0, 24).reshape(4, 6)
+        out = frailty._wrightomega(x)
+        assert out.shape == (4, 6) and out.dtype == np.float64
+        assert np.array_equal(out, frailty._wrightomega(x.ravel()).reshape(4, 6))
+
+    def test_no_warning_without_errstate(self):
+        x = np.concatenate([self.wide_grid(), [-math.inf, math.inf, math.nan, 1e308, -1e308]])
+        assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore",
+                               "invalid": "warn"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frailty._wrightomega(x)
+            frailty._wrightomega(x[None])
 
 
 class TestFit:
@@ -1161,13 +1203,22 @@ class TestWaldTest:
         for decided in decisions.values():
             assert len(decided) >= 170 and 0 < sum(decided) < len(decided)
 
-    def test_fit_and_test_need_only_wrightomega(self, monkeypatch):
-        ds = gen_frailty(6, 5, MEDIAN_FRAILTY, replicate_stream(1, 6, 5, 1))
-        want = fit_frailty(ds)
-        monkeypatch.setattr(frailty, "_special", lambda: SimpleNamespace(wrightomega=wrightomega))
-        fit = fit_frailty(ds)
-        assert fit == want and fit.converged and fit.tau2_hat > 0
-        assert wald_test_frailty(fit, 0.05) == (fit.p_value < 0.05)
+    def test_fit_with_scipys_omega_agrees(self, monkeypatch):
+        datasets = [gen_frailty(n, m, MEDIAN_FRAILTY, replicate_stream(1, n, m, r))
+                    for n, m in ((3, 2), (6, 5), (10, 8)) for r in range(4)]
+        want = [fit_frailty(ds) for ds in datasets]
+        assert sum(fit.converged and fit.tau2_hat > 0 for fit in want) >= 4
+        monkeypatch.setattr(frailty, "_wrightomega", wrightomega)
+        for ds, expected in zip(datasets, want):
+            fit = fit_frailty(ds)
+            assert fit.converged == expected.converged
+            if not fit.converged:
+                continue
+            for name in ("lambda_hat", "nu_hat", "beta_hat", "se_beta", "tau2_hat", "p_value",
+                         "log_likelihood"):
+                value = getattr(fit, name)
+                assert value == pytest.approx(getattr(expected, name), rel=1e-12), name
+            assert wald_test_frailty(fit, 0.05) == wald_test_frailty(expected, 0.05)
 
 
 def frailty_fit_like(beta, se):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -198,16 +199,14 @@ class TestBalancedClosedForm:
         assert not slow.converged
 
     def test_failed_search_returns_the_non_converged_fit(self, monkeypatch, pilot_lognormal):
-        # a search that reports failure carries no estimates, as a
+        # a search that runs out of evaluations carries no estimates, as a
         # non-finite profile does
-        real = scipy.optimize.minimize_scalar
+        real = lmm._bounded_min
 
-        def failing(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.success = False
-            return res
+        def failing(*args):
+            return (*real(*args)[:2], False)
 
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", failing)
+        monkeypatch.setattr(lmm, "_bounded_min", failing)
         fit = search_fit(pilot_lognormal)
         assert not fit.converged
         estimates = (fit.beta0_hat, fit.beta_hat, fit.se_beta, fit.tau2_hat, fit.sigma2_hat,
@@ -448,18 +447,64 @@ class TestStudentT:
         assert replicates >= 200_000
 
 
+def scipy_search(f, a, b, xatol, max_evals=500):
+    """Oracle for lmm._bounded_min: scipy's bounded minimize_scalar, as
+    (x, f(x), success)."""
+    res = scipy.optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
+                                         options={"xatol": xatol, "maxiter": max_evals})
+    return res.x, res.fun, res.success
+
+
+class TestBoundedSearch:
+    @staticmethod
+    def unbalanced_profiles(seed, count):
+        """The profiles fit_lmm searches, of random unbalanced datasets with
+        line spreads from none to dominant and residual spreads from 1e-3."""
+        rng = np.random.default_rng(seed)
+        while count:
+            k = int(rng.integers(2, 9))
+            line = np.repeat(np.arange(1, k + 1), rng.integers(1, 7, k))
+            tx = rng.integers(0, 2, line.size)
+            tx[:2] = (0, 1)
+            if line.size - k - 1 < 1:
+                continue
+            log_y = (rng.choice([0.0, 0.01, 0.3, 3.0, 100.0]) * rng.standard_normal(k)[line - 1]
+                     + 0.7 * tx + rng.choice([1e-3, 0.5, 2.0]) * rng.standard_normal(line.size))
+            st = sufficient(SimulatedDataset(line_index=line, tx=tx, y=np.exp(log_y),
+                                             status=np.ones(line.size, dtype=np.int64)))
+            count -= 1
+            yield lambda lt, st=st: lmm._profile(math.exp(lt), st)[0]
+
+    def test_equals_scipys_bounded_search(self):
+        bracket = (lmm._LOG_THETA_LO, lmm._LOG_THETA_HI, lmm._XATOL)
+        for f in self.unbalanced_profiles(35, 400):
+            assert lmm._bounded_min(f, *bracket) == scipy_search(f, *bracket)
+
+    def test_exhausted_budget_fails_as_scipys_does(self):
+        bracket = (lmm._LOG_THETA_LO, lmm._LOG_THETA_HI, lmm._XATOL)
+        failed = 0
+        for budget, f in zip(itertools.cycle(range(2, 30)), self.unbalanced_profiles(36, 200)):
+            got = lmm._bounded_min(f, *bracket, budget)
+            assert got == scipy_search(f, *bracket, budget)
+            failed += not got[2]
+        assert failed > 100
+
+
 class TestRouting:
     @pytest.fixture
     def search_calls(self, monkeypatch):
-        # fit_lmm imports the search from scipy.optimize when it needs it
+        # every search fit_lmm runs, each checked against scipy's bounded
+        # minimize_scalar on the same profile, bracket and xatol
         calls = []
-        real = scipy.optimize.minimize_scalar
+        real = lmm._bounded_min
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(args)
-            return real(*args, **kwargs)
+            got = real(*args)
+            assert got == scipy_search(*args)
+            return got
 
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
+        monkeypatch.setattr(lmm, "_bounded_min", spy)
         return calls
 
     @staticmethod

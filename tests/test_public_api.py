@@ -47,8 +47,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about a quarter of a second; only an unbalanced
-    # LMM fit imports it
+    # scipy.optimize costs about a quarter of a second
     assert_import_leaves_unloaded("scipy.optimize")
 
 
@@ -108,14 +107,79 @@ assert converged.all() and 0 < rejected.sum() < 512
     assert not any(name.startswith("scipy.special") for name in imported)
 
 
-def test_building_a_frailty_job_loads_scipy_special(tmp_path):
-    code = """
-import sys
-from xenopower import DesignGrid, FrailtyParams, PowerJob
+def scipy_modules(imported):
+    return [name for name in imported if name == "scipy" or name.startswith("scipy.")]
 
-assert "scipy.special" not in sys.modules
-grid = DesignGrid(n_values=(3,), m_values=(2,), sim=32, alpha=0.05, seed=7)
-PowerJob(grid=grid, model=FrailtyParams(lam=0.29, nu=1.0, beta=-1.1, tau2=0.1))
-assert "scipy.special" in sys.modules
+
+# no library path imports scipy: the frailty fit's Wright omega and the
+# unbalanced REML search are numpy and standard-library code
+FRAILTY_RUN = """
+from xenopower import DesignGrid, PowerJob, elicit_frailty_from_pilot, run_power_grid
+from xenopower.datasets import pilot_censored
+
+params = elicit_frailty_from_pilot(pilot_censored())
+grid = DesignGrid(n_values=(3, 4), m_values=(2,), sim=64, alpha=0.05, seed=7)
+for workers in (1, 2):
+    run_power_grid(PowerJob(grid=grid, model=params, worker_count=workers))
 """
-    assert "scipy.special" in imports_of(["-c", code], tmp_path)
+
+
+def test_censored_pilot_and_frailty_grids_import_no_scipy(tmp_path):
+    imported = imports_of(["-c", FRAILTY_RUN], tmp_path)
+    assert "xenopower.frailty" in imported and "xenopower.engine" in imported
+    assert scipy_modules(imported) == []
+
+
+SPAWNED_CHUNK = """
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
+from xenopower.engine import _run_chunk
+from xenopower.types import FrailtyParams
+
+model = FrailtyParams(lam=0.2888113, nu=1.0, beta=-1.098612, tau2=0.1, censor=True, ct=12.0)
+with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+    rejected, converged, _ = pool.submit(_run_chunk, (model, 3, 2, 0.05, 7, 0, 64)).result()
+assert converged.mean() > 0.9 and 0 < rejected.sum() < 64
+"""
+
+
+def test_frailty_chunk_in_a_spawned_worker_imports_no_scipy(tmp_path):
+    imported = imports_of(["-c", SPAWNED_CHUNK], tmp_path)
+    assert imported.count("xenopower") == 2
+    assert scipy_modules(imported) == []
+
+
+def test_frailty_data_cli_imports_no_scipy(tmp_path):
+    from xenopower.datasets import pilot_path
+
+    imported = imports_of(["-m", "xenopower.cli", "pow-frailty-data", "--data",
+                           str(pilot_path("censored")), "--n", "3:4", "--m", "2:3", "--sim", "20",
+                           "--censor-time", "8", "--threads", "2", "--out-csv", "power.csv"],
+                          tmp_path)
+    assert (tmp_path / "power.csv").exists()
+    assert scipy_modules(imported) == []
+
+
+def test_unbalanced_pilot_fit_imports_no_scipy(tmp_path):
+    code = """
+from xenopower import PilotDataset, fit_lmm
+from xenopower.datasets import pilot_uncensored
+
+pilot = pilot_uncensored()
+assert fit_lmm(PilotDataset(rows=pilot.rows[1:])).converged
+"""
+    imported = imports_of(["-c", code], tmp_path)
+    assert "xenopower.lmm" in imported
+    assert scipy_modules(imported) == []
+
+
+@pytest.mark.parametrize("demo", ["01_pilot_to_power_lognormal.py",
+                                  "02_pilot_to_power_censored.py"])
+def test_demo_runs_where_scipy_cannot_be_imported(demo, tmp_path):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", demo)
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            f"runpy.run_path({path!r}, run_name='__main__')")
+    subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=tmp_path, check=True,
+                   capture_output=True, timeout=300)
